@@ -11,11 +11,13 @@ What the numbers mean
 ---------------------
 ``round_wall_s`` is the whole round: bidder-side masking, auctioneer-side
 conflict graph + psd allocation, and TTP charging.  ``auctioneer_wall_s``
-isolates the two auctioneer-side phases the tentpole shards (conflict-graph
+isolates the two auctioneer-side phases scale mode shards (conflict-graph
 construction and psd allocation: the ``lppa.conflict_graph`` timer plus the
-``psd_allocation`` phase) — that is where the Θ(N²) pair scan lives and
-where the grid-bucket prefilter + sharding pay off, so the headline
-``speedup`` compares *those phases* against the single-process reference.
+``psd_allocation`` phase), so the headline ``speedup`` compares *those
+phases* against the single-process reference.  Neither path scans all
+pairs — the reference runs the masked digest join, scale mode the
+grid-bucket prefilter — so the speedup measures the prefilter and process
+fan-out against the join.
 Bidder-side synthesis is client-side work in a deployment (each SU masks
 its own submission) and is identical in both paths; on a small host the
 whole-round speedup is therefore diluted by it, which the artifact records
@@ -66,8 +68,10 @@ __all__ = [
 #: The committed-baseline sweep sizes.
 DEFAULT_SIZES = (1_000, 10_000, 100_000)
 
-#: Largest size for which the all-pairs single-process reference is run by
-#: default — beyond this the Θ(N²) scan is hours of wall time.
+#: Largest size for which the single-process reference is run by default.
+#: Its conflict graph is a near-linear digest join, so the ceiling only
+#: bounds the sweep's wall time: the reference repeats the whole round,
+#: bidder-side masking included, for every size it covers.
 REFERENCE_CEILING = 10_000
 
 _TWO_LAMBDA = 6

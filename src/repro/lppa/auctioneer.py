@@ -1,10 +1,11 @@
 """The (curious-but-honest) auctioneer endpoint.
 
 Everything this class touches is masked: location submissions become a
-conflict graph through pairwise membership tests, bid submissions become a
-:class:`~repro.lppa.psd.MaskedBidTable`, Algorithm 3 allocates channels, and
-winners' ciphertexts go to the TTP for charging.  The class never imports
-:class:`~repro.crypto.keys.KeyRing` — it simply has no key material.
+conflict graph through masked membership tests (evaluated as a digest
+join), bid submissions become a :class:`~repro.lppa.psd.MaskedBidTable`,
+Algorithm 3 allocates channels, and winners' ciphertexts go to the TTP for
+charging.  The class never imports :class:`~repro.crypto.keys.KeyRing` —
+it simply has no key material.
 
 The honest-but-curious part: :meth:`channel_rankings` exposes the bid order
 the auctioneer can always reconstruct from the masked sets.  That view is

@@ -1,14 +1,25 @@
 """Private Location Submission protocol (section IV.A).
 
-Each SU masks its coordinates and interference ranges; the auctioneer tests,
-for every pair (i, j),
+Each SU masks its coordinates and interference ranges; the auctioneer
+declares a conflict between ``i < j`` when both
 
     H_g0(G(loc_x^i)) ∩ H_g0(Q([loc_x^j - d, loc_x^j + d])) != ∅
     H_g0(G(loc_y^i)) ∩ H_g0(Q([loc_y^j - d, loc_y^j + d])) != ∅
 
-and declares a conflict when both hold.  Since ``x_i ∈ [x_j - d, x_j + d]``
-iff ``|x_i - x_j| <= d``, one direction of the test suffices and the result
-is exactly the plaintext conflict graph — which the tests assert.
+hold.  Since ``x_i ∈ [x_j - d, x_j + d]`` iff ``|x_i - x_j| <= d``, one
+direction of the test suffices and the result is exactly the plaintext
+conflict graph — which the tests assert.
+
+The paper states the test pairwise; :func:`build_private_conflict_graph`
+evaluates it as a hash join instead.  It indexes every submitted family
+digest by user, then looks up each user's range digests: the users whose
+x-family meets ``j``'s x-range, intersected with those whose y-family
+meets ``j``'s y-range, are exactly the ``i`` for which both tests above
+hold.  That is a set identity for any digest sets (tampered ones too), so
+the edge set equals the all-pairs scan while the work drops from
+``N(N-1)/2`` pair tests to one lookup per range digest plus the hits.  The
+join reads only the masked digests the auctioneer receives — never a
+plaintext cell or bucket.
 
 The paper's conflict predicate is the *strict* ``|Δ| < 2λ`` on integer
 coordinates, so the submitted range uses half-width ``d = 2λ - 1``.
@@ -17,12 +28,12 @@ Coordinates are cell indices (non-negative integers, as the paper assumes).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Set
 
 from repro.auction.conflict import ConflictGraph
 from repro.geo.grid import Cell, GridSpec
 from repro.lppa.messages import LocationSubmission
-from repro.prefix.membership import MaskSpec, is_member, mask_specs
+from repro.prefix.membership import MaskedSet, MaskSpec, mask_specs
 from repro.prefix.prefixes import bit_width_for, prefix_family
 from repro.prefix.ranges import range_cover
 
@@ -120,10 +131,33 @@ def submit_locations(
     ]
 
 
+def _digest_index(sets: Sequence[MaskedSet]) -> Dict[bytes, List[int]]:
+    """Map every digest to the ascending ids of the users whose set holds it."""
+    index: Dict[bytes, List[int]] = {}
+    for user, masked in enumerate(sets):
+        for digest in masked.digests:
+            index.setdefault(digest, []).append(user)
+    return index
+
+
+def _hits(index: Dict[bytes, List[int]], masked: MaskedSet) -> Set[int]:
+    """Users whose indexed set shares at least one digest with ``masked``."""
+    users: Set[int] = set()
+    for digest in masked.digests:
+        found = index.get(digest)
+        if found is not None:
+            users.update(found)
+    return users
+
+
 def build_private_conflict_graph(
     submissions: Sequence[LocationSubmission],
 ) -> ConflictGraph:
-    """Auctioneer side: pairwise masked membership tests -> conflict graph.
+    """Auctioneer side: masked membership tests -> conflict graph.
+
+    Pair ``(i, j)``, ``i < j``, is an edge iff ``is_member(si.x_family,
+    sj.x_range) and is_member(si.y_family, sj.y_range)`` — decided for all
+    pairs at once by the digest join described in the module docstring.
 
     ``submissions[i].user_id`` must equal ``i`` (the session layer enforces
     the dense numbering; pseudonymised ids are mapped before this point).
@@ -133,14 +167,14 @@ def build_private_conflict_graph(
             raise ValueError(
                 f"submissions must be dense: slot {idx} holds user {sub.user_id}"
             )
+    x_index = _digest_index([sub.x_family for sub in submissions])
+    y_index = _digest_index([sub.y_family for sub in submissions])
     edges = set()
-    n = len(submissions)
-    for i in range(n):
-        si = submissions[i]
-        for j in range(i + 1, n):
-            sj = submissions[j]
-            if is_member(si.x_family, sj.x_range) and is_member(
-                si.y_family, sj.y_range
-            ):
+    for j, sj in enumerate(submissions):
+        x_hits = _hits(x_index, sj.x_range)
+        if not x_hits:
+            continue
+        for i in x_hits.intersection(_hits(y_index, sj.y_range)):
+            if i < j:
                 edges.add((i, j))
-    return ConflictGraph(n_users=n, edges=frozenset(edges))
+    return ConflictGraph(n_users=len(submissions), edges=frozenset(edges))

@@ -6,17 +6,23 @@ the :class:`~repro.auction.table.BidTable` interface, so the greedy
 Algorithm 3 in :mod:`repro.auction.allocation` runs on it unchanged.
 
 "Find the maximum of a column" is implemented by first recovering each
-channel's total *order* of bidders through pairwise membership tests
+channel's total *order* of bidders from the membership relation
 (``G(b_i) ∩ Q([b_j, emax]) != ∅  <=>  b_i >= b_j``) — an operation the
 curious auctioneer can always perform, which is precisely why the paper's
 attacker model (section VI.C) grants the adversary the ordered bid table.
 The same ranking is therefore exposed via :meth:`MaskedBidTable.ranking`
 as the attack surface for :mod:`repro.attacks.against_lppa`.
+
+:func:`rank_masked_column` recovers that order by counting digests rather
+than sorting by pairwise tests, then confirms it with ``2N - 2`` pairwise
+tests; :func:`rank_by_ge` is the comparison sort it must agree with.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.auction.table import BidTable
@@ -33,10 +39,10 @@ def rank_by_ge(
 
     ``ge(i, j)`` answers ``b_i >= b_j``; it must be a total preorder (every
     masked column is, up to the negligible filler-collision probability).
-    This is *the* ranking algorithm — :meth:`MaskedBidTable.ranking` and the
-    sharded per-channel ranking workers both call it, which is what makes a
-    worker-computed ranking bit-identical to an in-table one: same sort,
-    same comparison order, same class grouping.
+    Classes come best first, members in ascending id order (the sort is
+    stable).  This O(N log N) comparison sort is the reference ranking:
+    :func:`rank_masked_column` must return list-identical classes, which the
+    property tests check.
     """
 
     def compare(i: int, j: int) -> int:
@@ -62,25 +68,61 @@ def rank_by_ge(
     return classes
 
 
-def rank_masked_column(column: Sequence[MaskedBid]) -> List[List[int]]:
-    """Rank one channel's masked column standalone (no table required).
+def _column_ge(column: Sequence[MaskedBid], i: int, j: int) -> bool:
+    """``b_i >= b_j`` within one column: ``G(b_i) ∩ Q([b_j, emax]) != ∅``."""
+    return is_member(column[i].family, column[j].tail)
 
-    Used by the sharded psd-allocation workers: a worker receives just the
-    column, memoizes pairwise verdicts locally (mirroring the table's
-    ``_ge_cache``) and returns the classes.  Digest-identical inputs give
-    list-identical classes because :func:`rank_by_ge` is shared.
+
+def rank_masked_column(
+    column: Sequence[MaskedBid],
+    ge: Optional[Callable[[int, int], bool]] = None,
+) -> List[List[int]]:
+    """Rank one channel's masked column: :func:`rank_by_ge`'s classes.
+
+    Scores each bidder by ``score_i = Σ_{d ∈ family_i} #{tails holding d}``.
+    A genuine tail is the minimal cover of ``[b_j, emax]`` — disjoint
+    prefixes — and a family holds one prefix per level, so the family
+    meets a tail in at most one digest, and does so iff ``b_i >= b_j``:
+    ``score_i = #{j : b_i >= b_j}``, strictly monotone in the bid.  A
+    stable sort on ``-score`` therefore yields the classes of
+    :func:`rank_by_ge`, members in ascending id order.
+
+    The scores only propose the order; ``ge`` (``b_i >= b_j`` on masked
+    sets) confirms it: every member must be mutually ``>=`` its class
+    head, and each head strictly above the next.  That is ``2N - 2``
+    tests instead of the sort's O(N log N), and a column that is not a
+    total preorder along the proposed chain (a tampered digest, a filler
+    collision) raises ``AssertionError`` as the comparison sort does.
+
+    Without ``ge`` the column's own :func:`is_member` tests are used (the
+    chain never asks one ordered pair twice) — the sharded psd-allocation
+    workers receive just the column; :meth:`MaskedBidTable.ranking` passes
+    its memoized :meth:`bid_ge`.
     """
-    memo: Dict[Tuple[int, int], bool] = {}
-
-    def ge(i: int, j: int) -> bool:
-        key = (i, j)
-        cached = memo.get(key)
-        if cached is None:
-            cached = is_member(column[i].family, column[j].tail)
-            memo[key] = cached
-        return cached
-
-    return rank_by_ge(len(column), ge)
+    if ge is None:
+        ge = functools.partial(_column_ge, column)
+    holders = Counter(
+        itertools.chain.from_iterable(bid.tail.digests for bid in column)
+    )
+    scores = [
+        sum(holders.get(digest, 0) for digest in bid.family.digests)
+        for bid in column
+    ]
+    classes: List[List[int]] = []
+    for bidder in sorted(range(len(column)), key=lambda b: -scores[b]):
+        if classes:
+            head = classes[-1][0]
+            tied = scores[head] == scores[bidder]
+            # A tie must be mutual >=; a new head must sit strictly below.
+            if not ge(head, bidder) or ge(bidder, head) != tied:
+                raise AssertionError(
+                    "masked comparison is not total: filler-digest collision?"
+                )
+            if tied:
+                classes[-1].append(bidder)
+                continue
+        classes.append([bidder])
+    return classes
 
 
 class MaskedBidTable(BidTable):
@@ -114,10 +156,8 @@ class MaskedBidTable(BidTable):
         self._cursors: List[int] = [0] * self._n_channels
         # Memoized pairwise verdicts: (channel, i, j) -> "b_i >= b_j".  The
         # masked sets are immutable for the round, so each ordered pair
-        # needs at most one membership test; the equivalence-class pass in
-        # ranking() re-asks O(N) comparisons the sort already made, and the
-        # cache turns those into dict hits instead of repeated HMAC-set
-        # intersections.
+        # needs at most one membership test, shared by ranking()'s chain
+        # verification and every later probe (attack layer, tests).
         self._ge_cache: Dict[Tuple[int, int, int], bool] = {}
 
     # BidTable interface --------------------------------------------------------
@@ -190,20 +230,15 @@ class MaskedBidTable(BidTable):
 
         Returned as equivalence classes: bidders within a class submitted
         equal masked values (mutually >=).  Computed once per channel with
-        O(N log N) masked comparisons and cached — deletions never change
-        the underlying order.
-
-        Micro-bench (40 bidders x 5 channels, one process, perf_counter):
-        the pairwise memo in :meth:`bid_ge` drops ``rankings()`` from 2018
-        membership tests / 4.3 ms to 1626 / 3.7 ms — the ~20% of
-        comparisons the equivalence-class pass repeats after the sort.
+        :func:`rank_masked_column` with ``2N - 2`` memoized :meth:`bid_ge`
+        tests and cached — deletions never change the underlying order.
         """
         self._check_channel(channel)
         cached = self._rankings[channel]
         if cached is not None:
             return cached
-        classes = rank_by_ge(
-            self._n_users, lambda i, j: self.bid_ge(i, j, channel)
+        classes = rank_masked_column(
+            self._bids[channel], ge=lambda i, j: self.bid_ge(i, j, channel)
         )
         self._rankings[channel] = classes
         return classes

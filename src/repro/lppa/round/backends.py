@@ -176,8 +176,8 @@ class CryptoBackend(ValueBackend):
     def ingest_locations(self, state: RoundState) -> None:
         assert state.location_subs is not None
         state.auctioneer = Auctioneer(state.n_channels)
-        # The conflict-graph timer isolates the auctioneer-side Θ(pairs)
-        # work from the bidder-side masking that shares this phase — the
+        # The conflict-graph timer isolates the auctioneer-side work from
+        # the bidder-side masking that shares this phase — the
         # scale sweep reads it to report the sharded speedup honestly.
         with obs.timer("lppa.conflict_graph"):
             if state.shards is not None and state.users is not None:

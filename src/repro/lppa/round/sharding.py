@@ -1,18 +1,23 @@
 """Sharded execution of the round core's expensive phases.
 
-A single-process LPPA round is compute-bound in three places once the
-population leaves the paper's 100-SU regime:
+Three phases of an LPPA round grow with the population:
 
-* **conflict-graph construction** — Θ(N²) masked membership tests;
+* **conflict-graph construction** — the paper's pairwise masked
+  membership tests.  The single-process path already evaluates them as a
+  near-linear digest join
+  (:func:`~repro.lppa.location.build_private_conflict_graph`);
 * **bidder-side synthesis** — per-SU location/bid masking (embarrassingly
   parallel: each SU's material is a pure function of its own inputs);
-* **psd rankings** — per-channel O(N log N) masked comparisons.
+* **psd rankings** — one digest-count ranking per channel
+  (:func:`~repro.lppa.psd.rank_masked_column`).
 
-This module shards all three across worker processes through the PR-1
+This module shards all three across worker processes through the
 process-pool engine (:func:`repro.experiments.engine.run_sweep`) and prunes
 the conflict phase with the grid-bucket spatial prefilter
 (:mod:`repro.geo.buckets`), so only plausibly co-located SU pairs are
-tested at all.
+tested pairwise.  The prefilter reads the SUs' plaintext cells, which a
+real auctioneer never holds (DESIGN.md §9); it is a simulation shortcut of
+scale mode only.
 
 Determinism contract
 --------------------
@@ -590,8 +595,9 @@ def sharded_masked_rankings(
     """Every channel's ranking, one worker per channel column.
 
     Identical classes to :meth:`MaskedBidTable.rankings` because worker and
-    table share :func:`~repro.lppa.psd.rank_by_ge` — install the result via
-    :meth:`MaskedBidTable.set_rankings` before the allocator runs.
+    table share :func:`~repro.lppa.psd.rank_masked_column` — install the
+    result via :meth:`MaskedBidTable.set_rankings` before the allocator
+    runs.
     """
     with _stashed(
         columns=[table.column(ch) for ch in range(table.n_channels)],

@@ -1,5 +1,6 @@
 """Private location submission: exactness against the plaintext graph."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,12 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.auction.conflict import build_conflict_graph
+from repro.experiments.scale import synthesize_population
 from repro.geo.grid import GridSpec
 from repro.lppa.location import (
     build_private_conflict_graph,
     coordinate_width,
     submit_location,
+    submit_locations,
 )
+from repro.lppa.messages import LocationSubmission
+from repro.lppa.round import sharding
+from repro.lppa.session import run_lppa_auction
+from repro.prefix.membership import MaskedSet, is_member
 
 G0 = b"location-key"
 GRID = GridSpec(rows=32, cols=32, cell_km=1.0)
@@ -24,6 +31,17 @@ def _private_graph(cells, two_lambda, grid=GRID):
         for i, cell in enumerate(cells)
     ]
     return build_private_conflict_graph(submissions)
+
+
+def _all_pairs_edges(submissions):
+    """The paper's literal pairwise scan: the oracle for the digest join."""
+    return frozenset(
+        (i, j)
+        for j, sj in enumerate(submissions)
+        for i, si in enumerate(submissions[:j])
+        if is_member(si.x_family, sj.x_range)
+        and is_member(si.y_family, sj.y_range)
+    )
 
 
 def test_coordinate_width_accounts_for_overhang():
@@ -83,3 +101,102 @@ def test_private_graph_equals_plaintext_graph(cells, two_lambda):
     assert _private_graph(cells, two_lambda).edges == build_conflict_graph(
         cells, two_lambda
     ).edges
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cells=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=31),
+            st.integers(min_value=0, max_value=31),
+        ),
+        min_size=0,
+        max_size=25,
+    ),
+    two_lambda=st.integers(min_value=1, max_value=12),
+)
+def test_digest_join_equals_all_pairs_scan(cells, two_lambda):
+    submissions = submit_locations(cells, G0, GRID, two_lambda)
+    assert build_private_conflict_graph(submissions).edges == _all_pairs_edges(
+        submissions
+    )
+
+
+# A pool of eight digests makes random sets collide often, so the join
+# meets every overlap pattern: shared digests within one axis, across
+# users, empty sets, a family meeting a range on one axis only.
+_POOL = [bytes([k]) * 16 for k in range(8)]
+_random_sets = st.frozensets(st.sampled_from(_POOL), max_size=5).map(
+    lambda digests: MaskedSet(digests, digest_bytes=16)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sets=st.lists(
+        st.tuples(_random_sets, _random_sets, _random_sets, _random_sets),
+        min_size=0,
+        max_size=12,
+    )
+)
+def test_digest_join_equals_all_pairs_scan_on_arbitrary_digest_sets(sets):
+    submissions = [
+        LocationSubmission(i, *four) for i, four in enumerate(sets)
+    ]
+    assert build_private_conflict_graph(submissions).edges == _all_pairs_edges(
+        submissions
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cells=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=31),
+            st.integers(min_value=0, max_value=31),
+        ),
+        min_size=2,
+        max_size=15,
+    ),
+    swaps=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=14),
+            st.sampled_from(["x_family", "x_range", "y_family", "y_range"]),
+            st.integers(min_value=0, max_value=14),
+            st.sampled_from(["x_family", "x_range", "y_family", "y_range"]),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_digest_join_equals_all_pairs_scan_on_tampered_submissions(cells, swaps):
+    """Genuine submissions with sets replayed into other users' slots."""
+    submissions = submit_locations(cells, G0, GRID, 6)
+    n = len(submissions)
+    for victim, field, source, source_field in swaps:
+        submissions[victim % n] = dataclasses.replace(
+            submissions[victim % n],
+            **{field: getattr(submissions[source % n], source_field)},
+        )
+    assert build_private_conflict_graph(submissions).edges == _all_pairs_edges(
+        submissions
+    )
+
+
+def test_default_round_never_consults_the_plaintext_cell_prefilter(monkeypatch):
+    """The default path's auctioneer sees only masked digests: scale mode's
+    grid-bucket prefilter, which reads plaintext cells, is never called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the default path consulted plaintext cells")
+
+    monkeypatch.setattr(sharding, "candidate_pairs", refuse)
+    monkeypatch.setattr(sharding, "sharded_conflict_edges", refuse)
+    users, grid = synthesize_population(80, seed=3)
+    result = run_lppa_auction(
+        users, grid, two_lambda=6, bmax=127, entropy=b"location-privacy"
+    )
+    assert result.conflict_graph.edges == build_conflict_graph(
+        [user.cell for user in users], 6
+    ).edges
+    assert result.conflict_graph.n_edges > 0

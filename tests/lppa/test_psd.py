@@ -1,13 +1,20 @@
 """The masked bid table and its equivalence with the integer view."""
 
+import dataclasses
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.keys import generate_keyring
 from repro.lppa.bids_advanced import BidScale, submit_bids_advanced
+from repro.lppa.bids_basic import submit_bids_basic
 from repro.lppa.fastsim import IntegerMaskedTable
-from repro.lppa.psd import MaskedBidTable
+from repro.lppa.policies import UniformReplacePolicy
+from repro.lppa.psd import MaskedBidTable, rank_by_ge, rank_masked_column
+from repro.prefix.membership import MaskedSet, is_member
 
 SCALE = BidScale(bmax=30, rd=4, cr=8)
 KEYRING = generate_keyring(b"psd-test", 3, rd=4, cr=8)
@@ -102,3 +109,128 @@ def test_integer_table_validation():
         IntegerMaskedTable([[1, 2], [3]])
     with pytest.raises(ValueError):
         IntegerMaskedTable([[]])
+
+
+def _oracle_ranking(column):
+    """The comparison sort over pairwise membership tests."""
+    return rank_by_ge(
+        len(column), lambda i, j: is_member(column[i].family, column[j].tail)
+    )
+
+
+_bid_rows = st.lists(
+    st.lists(st.integers(min_value=0, max_value=30), min_size=3, max_size=3),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bid_rows=_bid_rows,
+    seed=st.integers(min_value=0, max_value=2**16),
+    replace=st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_rank_masked_column_equals_rank_by_ge_on_advanced_columns(
+    bid_rows, seed, replace
+):
+    rng = random.Random(seed)
+    submissions = [
+        submit_bids_advanced(
+            uid, bids, KEYRING, SCALE, rng, policy=UniformReplacePolicy(replace)
+        )[0]
+        for uid, bids in enumerate(bid_rows)
+    ]
+    table = MaskedBidTable(submissions)
+    for channel in range(3):
+        column = table.column(channel)
+        expected = _oracle_ranking(column)
+        assert rank_masked_column(column) == expected
+        assert table.ranking(channel) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(bid_rows=_bid_rows, seed=st.integers(min_value=0, max_value=2**16))
+def test_rank_masked_column_equals_rank_by_ge_on_basic_columns(bid_rows, seed):
+    rng = random.Random(seed)
+    submissions = [
+        submit_bids_basic(uid, bids, KEYRING, 30, rng)
+        for uid, bids in enumerate(bid_rows)
+    ]
+    table = MaskedBidTable(submissions)
+    for channel in range(3):
+        assert rank_masked_column(table.column(channel)) == _oracle_ranking(
+            table.column(channel)
+        )
+
+
+def _is_total_preorder(column):
+    n = len(column)
+
+    def ge(i, j):
+        return is_member(column[i].family, column[j].tail)
+
+    total = all(ge(i, j) or ge(j, i) for i, j in itertools.combinations(range(n), 2))
+    transitive = all(
+        ge(i, k) or not (ge(i, j) and ge(j, k))
+        for i, j, k in itertools.permutations(range(n), 3)
+    )
+    return total and transitive
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bids=st.lists(st.integers(min_value=0, max_value=30), min_size=2, max_size=7),
+    seed=st.integers(min_value=0, max_value=2**16),
+    swaps=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=6),
+            st.booleans(),
+            st.integers(min_value=0, max_value=6),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_rank_masked_column_fails_closed_on_tampered_columns(bids, seed, swaps):
+    """Sets replayed into other bidders' slots: the ranking either raises
+    the total-order assertion, or — when the tampered column is still a
+    total preorder — equals the comparison sort."""
+    rng = random.Random(seed)
+    column = [
+        submit_bids_advanced(uid, [bid, 0, 0], KEYRING, SCALE, rng)[0]
+        .channel_bids[0]
+        for uid, bid in enumerate(bids)
+    ]
+    n = len(column)
+    for victim, into_family, source, from_family in swaps:
+        donor = column[source % n]
+        column[victim % n] = dataclasses.replace(
+            column[victim % n],
+            **{"family" if into_family else "tail": (
+                donor.family if from_family else donor.tail
+            )},
+        )
+    try:
+        ranked = rank_masked_column(column)
+    except AssertionError:
+        return
+    if _is_total_preorder(column):
+        assert ranked == _oracle_ranking(column)
+
+
+def test_rank_masked_column_rejects_an_inconsistent_chain():
+    """A tail emptied of its genuine digests makes that bidder look below
+    everyone while its family still ranks it: the chain check trips."""
+    rng = random.Random(5)
+    column = [
+        submit_bids_advanced(uid, [bid, 0, 0], KEYRING, SCALE, rng)[0]
+        .channel_bids[0]
+        for uid, bid in enumerate([20, 5, 12])
+    ]
+    column[1] = dataclasses.replace(
+        column[1], tail=MaskedSet(frozenset({bytes(16)}), digest_bytes=16)
+    )
+    with pytest.raises(AssertionError):
+        rank_masked_column(column)

@@ -1,7 +1,10 @@
 """Deterministic label-addressed RNG streams."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.crypto.sha256 import sha256
 from repro.utils.rng import numpy_rng, spawn_rng, stable_seed
 
 
@@ -42,3 +45,48 @@ def test_known_value_pinned():
     assert stable_seed("x") == int.from_bytes(
         __import__("hashlib").sha256(b"x").digest()[:8], "big"
     )
+
+
+#: (seed, labels, expected): the first 8 bytes, big-endian, of SHA-256 over
+#: the seed bytes then ``b"/" + label`` per label.  Computed with the
+#: pure-Python oracle in ``repro.crypto.sha256``; ``b""`` gives the prefix
+#: of the well-known empty-message digest e3b0c442...
+_SEED_VECTORS = [
+    (0, (), 0x6E340B9CFFB37A98),
+    (42, (), 0x684888C0EBB17F37),
+    ("x", (), 0x2D711642B726B044),
+    (b"", (), 0xE3B0C44298FC1C14),
+    ("lppa-repro", ("area3",), 0x288AA7E177F17287),
+    (2**64 + 1, ("round", "7", "user", "1999"), 0x89DCAAC1A67C0A3D),
+    ("m", ("\u00e9", ""), 0x25A410528D0909D6),
+]
+
+
+def _oracle_seed(seed_bytes, labels):
+    h = sha256(seed_bytes)
+    for label in labels:
+        h.update(b"/")
+        h.update(label.encode("utf-8"))
+    return int.from_bytes(h.digest()[:8], "big")
+
+
+@pytest.mark.parametrize("seed, labels, expected", _SEED_VECTORS)
+def test_stable_seed_known_answers(seed, labels, expected):
+    assert stable_seed(seed, *labels) == expected
+
+
+def test_known_answers_match_the_pure_sha256_oracle():
+    for seed, labels, expected in _SEED_VECTORS:
+        if isinstance(seed, int):
+            seed_bytes = seed.to_bytes(max(1, (seed.bit_length() + 7) // 8), "big")
+        elif isinstance(seed, str):
+            seed_bytes = seed.encode("utf-8")
+        else:
+            seed_bytes = seed
+        assert _oracle_seed(seed_bytes, labels) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.binary(max_size=80), labels=st.lists(st.text(max_size=12), max_size=4))
+def test_stable_seed_equals_the_pure_sha256_oracle(seed, labels):
+    assert stable_seed(seed, *labels) == _oracle_seed(seed, labels)
