@@ -21,7 +21,7 @@ from repro.prefix.membership import find_maxima, mask_range, mask_value
 
 GRID = GridSpec(rows=100, cols=100)
 
-BACKENDS = ("pure", "hashlib", "numpy")
+BACKENDS = ("pure", "hashlib")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -1,11 +1,11 @@
-"""Pluggable HMAC backends with batch APIs: pure, hashlib, numpy.
+"""Pluggable HMAC backends with batch APIs: pure and hashlib.
 
 The repository ships its own SHA-256/HMAC (:mod:`repro.crypto.sha256`,
 :mod:`repro.crypto.hmac_impl`) so the masking layer is auditable end to end.
 Pure-Python compression is ~300x slower than CPython's built-in OpenSSL
 binding, however, and a 129-channel, 200-bidder auction performs millions of
 HMAC invocations.  The protocol layer therefore routes every digest through
-this seam, which dispatches to one of three :class:`CryptoBackend`
+this seam, which dispatches to one of two :class:`CryptoBackend`
 implementations:
 
 * ``"hashlib"`` (default) — ``hmac``/``hashlib`` from the standard library,
@@ -13,12 +13,9 @@ implementations:
   ``HMAC.copy()`` (the ipad block is compressed once per key, not once per
   message);
 * ``"pure"`` — the in-repo reference implementation, same copy() trick;
-* ``"numpy"`` — lane-parallel SHA-256 over ``uint32`` matrices
-  (:mod:`repro.crypto.sha256_numpy`); batches of masked sets run through
-  the compression function together.
+  it stays as the RFC-vector and cross-backend oracle.
 
-``"stdlib"`` is accepted as an alias of ``"hashlib"`` for backward
-compatibility.  All backends are bit-identical; the differential suite in
+Both backends are bit-identical; the differential suite in
 ``tests/crypto/test_backend_equivalence.py`` asserts it digest-for-digest,
 including full protocol rounds.  Select a backend with
 :func:`set_backend` / :func:`use_backend`, the ``REPRO_CRYPTO_BACKEND``
@@ -47,7 +44,6 @@ __all__ = [
     "CryptoBackend",
     "PureBackend",
     "HashlibBackend",
-    "NumpyBackend",
     "hmac_digest",
     "hmac_digest_batch",
     "hmac_digest_pairs",
@@ -64,9 +60,9 @@ class CryptoBackend:
 
     Subclasses implement :meth:`hmac`; the batch entry points have generic
     loop implementations that subclasses override when they can do better
-    (shared-key state reuse, lane-parallel matrices).  Whatever the
-    strategy, outputs must be bit-identical across backends — that contract
-    is what lets the protocol switch backends without moving a wire byte.
+    (shared-key state reuse).  Whatever the strategy, outputs must be
+    bit-identical across backends — that contract is what lets the protocol
+    switch backends without moving a wire byte.
     """
 
     #: Registry name, set by subclasses.
@@ -141,55 +137,20 @@ class HashlibBackend(CryptoBackend):
         return out
 
 
-class NumpyBackend(CryptoBackend):
-    """Lane-parallel SHA-256 over message matrices (see sha256_numpy).
-
-    Scalar calls fall back to hashlib — a one-lane matrix would only add
-    overhead — so the numpy strategy kicks in exactly where it differs:
-    on batches.
-    """
-
-    name = "numpy"
-
-    def __init__(self) -> None:
-        # Import here so environments without numpy can still construct
-        # the registry (available_backends() gates on importability).
-        from repro.crypto import sha256_numpy
-
-        self._vec = sha256_numpy
-
-    def hmac(self, key: bytes, msg: bytes) -> bytes:
-        return _stdlib_hmac.new(key, msg, hashlib.sha256).digest()
-
-    def hmac_batch(self, key: bytes, msgs: Sequence[bytes]) -> List[bytes]:
-        if not msgs:
-            return []
-        return self._vec.hmac_sha256_many(key, msgs)
-
-    def hmac_pairs(self, items: Sequence[Tuple[bytes, bytes]]) -> List[bytes]:
-        if not items:
-            return []
-        return self._vec.hmac_sha256_many(
-            [k for k, _ in items], [m for _, m in items]
-        )
-
-
 _FACTORIES = {
     "pure": PureBackend,
     "hashlib": HashlibBackend,
-    "numpy": NumpyBackend,
 }
-_ALIASES = {"stdlib": "hashlib"}
 _DEFAULT = "hashlib"
 
 _instances: Dict[str, CryptoBackend] = {}
 
 
 def _canonical(name: str) -> str:
-    name = _ALIASES.get(name, name)
     if name not in _FACTORIES:
-        valid = sorted(set(_FACTORIES) | set(_ALIASES))
-        raise ValueError(f"backend must be one of {valid}, got {name!r}")
+        raise ValueError(
+            f"backend must be one of {sorted(_FACTORIES)}, got {name!r}"
+        )
     return name
 
 
@@ -201,15 +162,8 @@ def _instance(name: str) -> CryptoBackend:
 
 
 def available_backends() -> List[str]:
-    """Canonical backend names constructible in this environment."""
-    names = []
-    for name in _FACTORIES:
-        try:
-            _instance(name)
-        except ImportError:  # pragma: no cover - numpy is a dependency
-            continue
-        names.append(name)
-    return names
+    """Canonical backend names."""
+    return list(_FACTORIES)
 
 
 _backend = _instance(_canonical(os.environ.get("REPRO_CRYPTO_BACKEND", _DEFAULT)))
@@ -226,7 +180,7 @@ def get_backend_instance() -> CryptoBackend:
 
 
 def set_backend(name: str) -> None:
-    """Select the HMAC backend globally (``pure``/``hashlib``/``numpy``)."""
+    """Select the HMAC backend globally (``pure``/``hashlib``)."""
     global _backend
     _backend = _instance(_canonical(name))
 

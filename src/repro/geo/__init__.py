@@ -5,7 +5,6 @@ availability regions ``C_r`` and per-cell quality statistics ``q*_r(m, n)``
 over four 75 km x 75 km areas gridded into 100 x 100 cells.
 """
 
-from repro.geo.buckets import bucket_index, bucket_of, candidate_pairs
 from repro.geo.coverage import ChannelCoverage, CoverageMap, build_channel_coverage
 from repro.geo.database import GeoLocationDatabase
 from repro.geo.datasets import (
@@ -30,9 +29,6 @@ from repro.geo.terrain import shadowing_field
 from repro.geo.transmitters import Transmitter, place_transmitters
 
 __all__ = [
-    "bucket_index",
-    "bucket_of",
-    "candidate_pairs",
     "ChannelCoverage",
     "CoverageMap",
     "build_channel_coverage",

@@ -95,9 +95,8 @@ def rank_masked_column(
     collision) raises ``AssertionError`` as the comparison sort does.
 
     Without ``ge`` the column's own :func:`is_member` tests are used (the
-    chain never asks one ordered pair twice) — the sharded psd-allocation
-    workers receive just the column; :meth:`MaskedBidTable.ranking` passes
-    its memoized :meth:`bid_ge`.
+    chain never asks one ordered pair twice); :meth:`MaskedBidTable.ranking`
+    passes its memoized :meth:`bid_ge`.
     """
     if ge is None:
         ge = functools.partial(_column_ge, column)
@@ -248,36 +247,9 @@ class MaskedBidTable(BidTable):
         return [self.ranking(ch) for ch in range(self._n_channels)]
 
     def column(self, channel: int) -> List[MaskedBid]:
-        """One channel's masked column in bidder order (sharding transport).
-
-        The sharded psd phase ships columns to worker processes, which rank
-        them with :func:`rank_masked_column` and hand the classes back via
-        :meth:`set_rankings`.
-        """
+        """One channel's masked column in bidder order."""
         self._check_channel(channel)
         return list(self._bids[channel])
-
-    def set_rankings(self, rankings: Sequence[List[List[int]]]) -> None:
-        """Install externally computed per-channel rankings.
-
-        Accepts exactly what :meth:`rankings` would return — one class list
-        per channel, each covering every bidder — and caches them so later
-        :meth:`ranking`/:meth:`max_bidders` calls skip the membership-test
-        sort.  Only rankings produced by :func:`rank_masked_column` over
-        this table's own columns are bit-identical to the in-table sort;
-        that contract is what the sharded-vs-serial differential tests pin.
-        """
-        if len(rankings) != self._n_channels:
-            raise ValueError(
-                f"{len(rankings)} rankings for {self._n_channels} channels"
-            )
-        for channel, classes in enumerate(rankings):
-            covered = sorted(b for tie_class in classes for b in tie_class)
-            if covered != list(range(self._n_users)):
-                raise ValueError(
-                    f"channel {channel} ranking must cover every bidder exactly once"
-                )
-            self._rankings[channel] = classes
 
     # Internals -------------------------------------------------------------------
 

@@ -33,7 +33,6 @@ from repro.lppa.round import (
     RoundState,
     execute_round,
 )
-from repro.lppa.round.sharding import resolve_shards
 from repro.lppa.schemes.registry import resolve_scheme
 from repro.utils.rng import Seed, fresh_rng
 
@@ -52,7 +51,6 @@ def run_lppa_auction(
     policy: Optional[ZeroDisguisePolicy] = None,
     rng: Optional[random.Random] = None,
     entropy: Optional[Seed] = None,
-    shards: Optional[int] = None,
     scheme: Optional[str] = None,
 ) -> LppaResult:
     """One complete private auction round.
@@ -84,12 +82,6 @@ def run_lppa_auction(
         conflict graph, rankings, allocations and charges are identical to
         a :func:`repro.lppa.fastsim.run_fast_lppa` run with the same
         ``entropy`` — the enforced fastsim equivalence contract.
-    shards:
-        Scale mode (argument, else ``REPRO_SHARDS``, else off): the
-        expensive phases run through the grid-bucket prefilter and the
-        sharded executors of :mod:`repro.lppa.round.sharding` — serially
-        in-process at 1, over that many worker processes at >= 2.  Results
-        are bit-identical to the default path at any shard count.
     scheme:
         Privacy scheme name (argument, else the CLI-set active scheme, else
         ``$REPRO_SCHEME``, else ``ppbs``).  ``ppbs`` runs the paper's
@@ -127,7 +119,6 @@ def run_lppa_auction(
         alloc_rng=alloc_rng,
         policies=[policy] * len(users),
         tr=trace.get_active(),
-        shards=resolve_shards(shards),
     )
     execute_round(state)
     result: LppaResult = state.result

@@ -251,7 +251,7 @@ class MetricsRegistry:
         hist.observe(value, count)
 
     def merge_histogram(self, name: str, other: Histogram) -> None:
-        """Fold a whole pre-built histogram in (worker rollups, loadgen)."""
+        """Fold a whole pre-built histogram in (epoch rollups, loadgen)."""
         self._check_name(name)
         self.merge_histogram_raw(self._scoped(name), other)
 

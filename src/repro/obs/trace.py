@@ -632,7 +632,7 @@ def merge_traces(
     timing): events sort by auction ``round`` (``null`` first), then by
     source order, then by each source's own ``seq`` — so within a round
     the server's record of a message and the client's record of sending it
-    land adjacently regardless of shard count or scheduling.  ``seq`` is
+    land adjacently regardless of scheduling.  ``seq`` is
     reassigned to the merged order.
     """
     if not traces:

@@ -15,16 +15,11 @@ from repro.crypto.backend import (
     use_backend,
 )
 
-ALL_BACKENDS = ("pure", "hashlib", "numpy")
+ALL_BACKENDS = ("pure", "hashlib")
 
 
 def test_default_backend_is_hashlib():
     assert get_backend() == "hashlib"
-
-
-def test_stdlib_is_an_alias_of_hashlib():
-    with use_backend("stdlib"):
-        assert get_backend() == "hashlib"
 
 
 def test_invalid_backend_rejected():

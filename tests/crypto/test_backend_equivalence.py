@@ -2,7 +2,7 @@
 
 Correctness of the masking layer means *identical wire bytes* — a masked
 digest either matches its counterpart or the protocol silently breaks.  So
-every crypto backend (pure reference, hashlib, numpy) must produce, on
+every crypto backend (pure reference, hashlib) must produce, on
 shared seeds:
 
 * bit-identical digests and masked tables for every primitive;
@@ -34,7 +34,7 @@ from repro.lppa.session import run_lppa_auction
 from repro.prefix.membership import mask_prefixes, mask_range, mask_value
 from repro.prefix.prefixes import prefix_family
 
-BACKENDS = ("pure", "hashlib", "numpy")
+BACKENDS = ("pure", "hashlib")
 REFERENCE = "pure"
 OPTIMIZED = tuple(b for b in BACKENDS if b != REFERENCE)
 

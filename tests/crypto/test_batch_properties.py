@@ -26,7 +26,7 @@ from repro.prefix.membership import (
 from repro.prefix.prefixes import Prefix, prefix_family
 from repro.prefix.ranges import range_cover
 
-BACKENDS = ("pure", "hashlib", "numpy")
+BACKENDS = ("pure", "hashlib")
 
 
 @st.composite

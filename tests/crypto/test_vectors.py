@@ -1,9 +1,9 @@
-"""Official NIST / RFC 4231 vectors through every crypto backend.
+"""Official RFC 4231 vectors through every crypto backend.
 
 `tests/crypto/test_sha256.py` and `test_hmac.py` pin the from-scratch
 primitives against external ground truth; this module closes the loop for
 the *backend seam*: the scalar, shared-key-batch, and per-key-pairs entry
-points of every backend (pure, hashlib, numpy) must reproduce the same
+points of every backend (pure, hashlib) must reproduce the same
 published answers, so no backend can drift from the standard without a
 test naming it.
 """
@@ -16,24 +16,8 @@ from repro.crypto.backend import (
     hmac_digest_pairs,
     use_backend,
 )
-from repro.crypto.sha256_numpy import hmac_sha256_many, sha256_many
 
-ALL_BACKENDS = ("pure", "hashlib", "numpy")
-
-# FIPS 180-4 / NIST CAVP known-answer vectors.
-NIST_SHA256 = [
-    (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
-    (
-        b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
-        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
-    ),
-    (
-        b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
-        b"hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
-        "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
-    ),
-]
+ALL_BACKENDS = ("pure", "hashlib")
 
 # RFC 4231 HMAC-SHA256 test cases 1-4, 6, 7 (full 256-bit outputs).
 RFC4231 = [
@@ -111,27 +95,3 @@ def test_rfc4231_truncated_case_every_backend(backend):
         assert hmac_digest(key, message)[:16].hex() == expected
         assert hmac_digest_batch(key, [message])[0][:16].hex() == expected
 
-
-def test_numpy_sha256_nist_vectors():
-    messages = [m for m, _ in NIST_SHA256]
-    digests = sha256_many(messages)
-    assert [d.hex() for d in digests] == [e for _, e in NIST_SHA256]
-
-
-def test_numpy_sha256_padding_boundaries():
-    import hashlib
-
-    messages = [
-        bytes(i % 251 for i in range(size))
-        for size in (0, 1, 54, 55, 56, 57, 63, 64, 65, 119, 128, 1000)
-    ]
-    assert sha256_many(messages) == [
-        hashlib.sha256(m).digest() for m in messages
-    ]
-
-
-def test_numpy_hmac_per_lane_keys_rfc4231():
-    keys = [key for key, _, _ in RFC4231]
-    messages = [message for _, message, _ in RFC4231]
-    digests = hmac_sha256_many(keys, messages)
-    assert [d.hex() for d in digests] == [expected for _, _, expected in RFC4231]

