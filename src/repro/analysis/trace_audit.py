@@ -12,7 +12,7 @@ module replays those recordings against the claims:
   *to the bit*; for the Bloom scheme the model is the fixed per-channel OPE
   ciphertext width.  The auditor also re-derives every message's framing
   from the scheme's codec arithmetic
-  (:meth:`~repro.lppa.schemes.base.PrivacyScheme.expected_framing`),
+  (:meth:`~repro.lppa.round.backends.PrivacyScheme.expected_framing`),
   failing loudly on any divergence — if an encoder change shifts a single
   byte, the audit, not just a unit test, catches it.
 
@@ -48,6 +48,7 @@ __all__ = [
     "PrivacyAuditReport",
     "audit_comm_cost",
     "audit_privacy",
+    "rankings_by_round",
 ]
 
 Record = Dict[str, Any]
@@ -248,9 +249,15 @@ class PrivacyAuditReport:
     robust: bool
 
 
-def _rankings_by_round(
+def rankings_by_round(
     events: Sequence[Record],
 ) -> Dict[int, Dict[int, List[List[int]]]]:
+    """Recorded per-channel rankings grouped as ``{round: {channel: classes}}``.
+
+    Pass the adversary-visible stream
+    (:func:`repro.obs.trace.adversary_view`) to get what the curious
+    auctioneer saw.
+    """
     grouped: Dict[int, Dict[int, List[List[int]]]] = {}
     for record in events:
         if record.get("type") != "ranking":
@@ -285,7 +292,7 @@ def audit_privacy(
         for r in visible
         if r.get("type") == "meta" and r.get("name") == "auction_announcement"
     ]
-    by_round = _rankings_by_round(visible)
+    by_round = rankings_by_round(visible)
     if not by_round:
         raise TraceAuditError(
             "no adversary-visible ranking events in the trace — "

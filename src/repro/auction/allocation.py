@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.auction.conflict import ConflictGraph
 from repro.auction.table import BidTable
@@ -34,17 +34,20 @@ class Assignment:
     channel: int
 
 
-def greedy_allocate(
+def _greedy(
     table: BidTable,
     conflict: ConflictGraph,
     rng: random.Random,
+    choose: Callable[[int], Optional[int]],
 ) -> List[Assignment]:
-    """Run Algorithm 3 to completion and return the winner list ``W``.
+    """The Algorithm 3 loop shared by every allocator variant.
 
-    ``table`` is consumed (entries are deleted as the algorithm runs).
-    Termination: every visit to a non-empty column deletes at least the
-    winner's row, and the channel pool guarantees each channel is visited
-    once per refill cycle, so the table strictly shrinks.
+    ``choose(channel)`` picks the winner of one visit to ``channel`` (or
+    ``None`` to pass the visit); the loop then deletes the winner's row
+    and its neighbours' entries in that column.  Termination: every visit
+    to a non-empty column deletes at least the winner's row, and the
+    channel pool guarantees each channel is visited once per refill cycle,
+    so the table strictly shrinks.
     """
     adjacency = conflict.adjacency()
     winners: List[Assignment] = []
@@ -53,15 +56,38 @@ def greedy_allocate(
         if not pool:
             pool = list(range(table.n_channels))
         channel = pool.pop(rng.randrange(len(pool)))
-        if not table.has_channel_entries(channel):
+        winner = choose(channel)
+        if winner is None:
             continue
-        candidates = table.max_bidders(channel)
-        winner = candidates[rng.randrange(len(candidates))]
         winners.append(Assignment(bidder=winner, channel=channel))
         for neighbor in adjacency.get(winner, ()):  # delete T[o, r], o in N(bx)
             table.remove_entry(neighbor, channel)
         table.remove_row(winner)
     return winners
+
+
+def _draw_max(table: BidTable, channel: int, rng: random.Random) -> int:
+    """One of the column's maximum bidders, ties broken uniformly."""
+    candidates = table.max_bidders(channel)
+    return candidates[rng.randrange(len(candidates))]
+
+
+def greedy_allocate(
+    table: BidTable,
+    conflict: ConflictGraph,
+    rng: random.Random,
+) -> List[Assignment]:
+    """Run Algorithm 3 to completion and return the winner list ``W``.
+
+    ``table`` is consumed (entries are deleted as the algorithm runs).
+    """
+
+    def choose(channel: int) -> Optional[int]:
+        if not table.has_channel_entries(channel):
+            return None
+        return _draw_max(table, channel, rng)
+
+    return _greedy(table, conflict, rng, choose)
 
 
 def greedy_allocate_validated(
@@ -85,24 +111,17 @@ def greedy_allocate_validated(
     it decrypts the ``gc`` ciphertext (see
     :meth:`repro.lppa.ttp.TrustedThirdParty.process_charge`).
     """
-    adjacency = conflict.adjacency()
-    winners: List[Assignment] = []
     rejected = 0
-    pool: List[int] = []
-    while table.has_entries():
-        if not pool:
-            pool = list(range(table.n_channels))
-        channel = pool.pop(rng.randrange(len(pool)))
+
+    def choose(channel: int) -> Optional[int]:
+        nonlocal rejected
         while table.has_channel_entries(channel):
-            candidates = table.max_bidders(channel)
-            winner = candidates[rng.randrange(len(candidates))]
-            if not is_valid(winner, channel):
-                rejected += 1
-                table.remove_entry(winner, channel)
-                continue
-            winners.append(Assignment(bidder=winner, channel=channel))
-            for neighbor in adjacency.get(winner, ()):
-                table.remove_entry(neighbor, channel)
-            table.remove_row(winner)
-            break
+            winner = _draw_max(table, channel, rng)
+            if is_valid(winner, channel):
+                return winner
+            rejected += 1
+            table.remove_entry(winner, channel)
+        return None
+
+    winners = _greedy(table, conflict, rng, choose)
     return winners, rejected

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
+from repro.auction.allocation import _draw_max, _greedy
 from repro.auction.conflict import ConflictGraph
 
 __all__ = [
@@ -60,18 +61,13 @@ def greedy_allocate_priced(
     ``table`` must implement :class:`~repro.auction.table.BidTable` plus
     ``ranking(channel) -> List[List[int]]``.
     """
-    adjacency = conflict.adjacency()
     sales: List[PricedAssignment] = []
-    pool: List[int] = []
-    while table.has_entries():
-        if not pool:
-            pool = list(range(table.n_channels))
-        channel = pool.pop(rng.randrange(len(pool)))
+
+    def choose(channel: int) -> Optional[int]:
         live = table.channel_bidders(channel)
         if not live:
-            continue
-        candidates = table.max_bidders(channel)
-        winner = candidates[rng.randrange(len(candidates))]
+            return None
+        winner = _draw_max(table, channel, rng)
         losers = tuple(
             bidder
             for tie_class in table.ranking(channel)
@@ -81,9 +77,9 @@ def greedy_allocate_priced(
         sales.append(
             PricedAssignment(bidder=winner, channel=channel, losers_desc=losers)
         )
-        for neighbor in adjacency.get(winner, ()):
-            table.remove_entry(neighbor, channel)
-        table.remove_row(winner)
+        return winner
+
+    _greedy(table, conflict, rng, choose)
     return sales
 
 

@@ -67,12 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         "hashlib); both backends are bit-identical on the wire",
     )
     parser.add_argument(
-        "--no-mask-cache",
-        action="store_true",
-        help="bypass the masked-prefix digest cache (also $REPRO_MASK_CACHE=0); "
-        "results are identical either way, only the HMAC work repeats",
-    )
-    parser.add_argument(
         "--scheme",
         default=None,
         metavar="NAME",
@@ -221,10 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist per-epoch results and metrics under DIR "
         "(see `repro epochs show/validate`; only with --epochs)",
     )
-    serve.add_argument(
-        "--uvloop", action="store_true",
-        help="use uvloop if installed (falls back to asyncio with a warning)",
-    )
     add_metrics_flag(serve)
 
     loadgen = sub.add_parser(
@@ -294,10 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--run-dir", default=None, metavar="DIR",
         help="soak mode: persist per-epoch history under DIR "
         "(see `repro epochs show/validate`)",
-    )
-    loadgen.add_argument(
-        "--uvloop", action="store_true",
-        help="use uvloop if installed (falls back to asyncio with a warning)",
     )
     add_metrics_flag(loadgen)
 
@@ -1240,10 +1226,8 @@ def _cmd_serve(args) -> int:
         )
         return 0
 
-    from repro.service.eventloop import run as run_loop
-
     with collect:
-        return run_loop(_serve(), use_uvloop=args.uvloop)
+        return asyncio.run(_serve())
 
 
 async def _serve_epochs(args, server) -> int:
@@ -1410,9 +1394,10 @@ def _cmd_loadgen(args) -> int:
 
 def _cmd_loadgen_soak(args) -> int:
     """``repro loadgen --soak``: the self-hosted epoch-service soak."""
+    import asyncio
+
     from repro.net.loadgen import EquivalenceFailure
     from repro.service import SoakConfig, run_soak
-    from repro.service.eventloop import run as run_loop
 
     if args.connect is not None:
         print("error: --soak self-hosts its server; drop --connect",
@@ -1442,7 +1427,7 @@ def _cmd_loadgen_soak(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        report = run_loop(run_soak(config), use_uvloop=args.uvloop)
+        report = asyncio.run(run_soak(config))
     except EquivalenceFailure as exc:
         print(f"equivalence FAILED: {exc}", file=sys.stderr)
         return 1
@@ -1593,10 +1578,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.crypto.backend import set_backend
 
         set_backend(args.crypto_backend)
-    if args.no_mask_cache:
-        from repro.crypto.cache import set_cache_enabled
-
-        set_cache_enabled(False)
     if args.scheme is not None:
         from repro.lppa.schemes.registry import set_active_scheme
 

@@ -129,8 +129,9 @@ class OpeBidSubmission:
             + sum(bid.wire_size() for bid in self.channel_bids)
         )
 
-    def ope_material_bytes(self) -> int:
-        """Total OPE value bytes — the Bloom analogue of masked-set bytes."""
+    def masked_set_bytes(self) -> int:
+        """Total OPE value bytes — the Bloom analogue of PPBS's masked-set
+        bytes (the bid material the size model covers)."""
         return sum(bid.ope_bytes for bid in self.channel_bids)
 
     def trace_fields(self) -> Dict[str, int]:
@@ -139,7 +140,7 @@ class OpeBidSubmission:
             "su": self.user_id,
             "payload_bytes": self.wire_bytes(),
             "wire_size": self.wire_size(),
-            "ope_bytes": self.ope_material_bytes(),
+            "ope_bytes": self.masked_set_bytes(),
             "n_channels": len(self.channel_bids),
         }
 

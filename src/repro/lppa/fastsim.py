@@ -63,7 +63,6 @@ def run_fast_lppa(
     conflict: Optional[ConflictGraph] = None,
     revalidate: bool = False,
     pricing: str = "first",
-    scheme: Optional[str] = None,
 ) -> FastLppaResult:
     """One LPPA round at integer level: disguise/expand, allocate, charge.
 
@@ -89,15 +88,10 @@ def run_fast_lppa(
     ``"second"`` (the truthfulness extension of
     :mod:`repro.auction.pricing`, incompatible with ``revalidate``).
 
-    ``scheme`` resolves exactly as in :func:`repro.lppa.session.run_lppa_auction`
-    (argument, else active scheme, else ``$REPRO_SCHEME``, else ``ppbs``) and
-    is validated here; the *result* is scheme-independent by construction —
-    every registered scheme shares the integer value pipeline this simulator
-    executes, which is what the per-scheme differential suites pin.
+    The result is scheme-independent: every privacy scheme shares the
+    integer value pipeline this simulator executes, which is what the
+    per-scheme differential suites pin.
     """
-    from repro.lppa.schemes.registry import resolve_scheme
-
-    resolve_scheme(scheme)  # validate the name; the value pipeline is shared
     if pricing not in ("first", "second"):
         raise ValueError('pricing must be "first" or "second"')
     if pricing == "second" and revalidate:

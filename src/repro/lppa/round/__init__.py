@@ -3,8 +3,9 @@
 One auction round is a fixed phase pipeline (setup → location submission →
 bid submission → PSD allocation → TTP charging) with two plug points:
 
-* a **value backend** (:class:`CryptoBackend` / :class:`PlainBackend`) —
-  what the values flowing through the phases are;
+* a **value backend** — what the values flowing through the phases are:
+  a :class:`PrivacyScheme` (:class:`CryptoBackend` for ``ppbs``, the Bloom
+  scheme's backend for ``bloom``) or the integer :class:`PlainBackend`;
 * a **driver** (:class:`InProcessDriver` / the net server's driver) —
   where submissions come from and how the TTP/result exchanges travel.
 
@@ -13,9 +14,9 @@ The three public execution paths are thin wrappers over this package:
 =====================================================  ===========  ============
 wrapper                                                backend      driver
 =====================================================  ===========  ============
-:func:`repro.lppa.session.run_lppa_auction`            crypto       in-process
+:func:`repro.lppa.session.run_lppa_auction`            scheme       in-process
 :func:`repro.lppa.fastsim.run_fast_lppa`               plain        in-process
-:class:`repro.net.server.AuctioneerServer.run_round`   crypto       network
+:class:`repro.net.server.AuctioneerServer.run_round`   scheme       network
 =====================================================  ===========  ============
 
 See ``DESIGN.md`` ("The round core") for the full architecture notes.
@@ -26,6 +27,7 @@ from repro.lppa.round.backends import (
     PLAIN_BACKEND,
     CryptoBackend,
     PlainBackend,
+    PrivacyScheme,
     ValueBackend,
 )
 from repro.lppa.round.core import (
@@ -52,6 +54,7 @@ __all__ = [
     "LppaResult",
     "PhaseStep",
     "PlainBackend",
+    "PrivacyScheme",
     "RoundDriver",
     "RoundState",
     "ValueBackend",

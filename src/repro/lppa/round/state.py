@@ -74,7 +74,8 @@ class RoundState:
     auctioneer: Optional[Auctioneer] = None
     #: Scheme-specific submission objects (PPBS LocationSubmission /
     #: BidSubmission, Bloom BloomLocationSubmission / OpeBidSubmission, ...);
-    #: all expose user_id, wire_bytes(), wire_size() and trace_fields().
+    #: all expose user_id, wire_bytes(), wire_size(), trace_fields() and
+    #: (bids) masked_set_bytes().
     location_subs: Optional[List[Any]] = None
     bid_subs: Optional[List[Any]] = None
     disclosures: List[SubmissionDisclosure] = field(default_factory=list)

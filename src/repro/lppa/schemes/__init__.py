@@ -1,44 +1,31 @@
-"""Pluggable privacy schemes (:class:`~repro.lppa.schemes.base.PrivacyScheme`).
+"""Privacy schemes: each wire protocol is one value backend.
 
-Importing this package registers the built-in schemes:
+* ``ppbs`` — the paper's protocol (prefix-masked locations and bids),
+  :data:`~repro.lppa.round.backends.CRYPTO_BACKEND`; always the default.
+* ``bloom`` — Bloom-filter locations + order-preserving-encrypted bids,
+  :data:`~repro.lppa.schemes.bloom.BLOOM_BACKEND`.
 
-* ``ppbs`` — the paper's protocol (prefix-masked locations and bids);
-  always the default, bit-identical to the pre-seam code path.
-* ``bloom`` — Bloom-filter locations + order-preserving-encrypted bids.
-
+Both are :class:`~repro.lppa.round.backends.PrivacyScheme` instances.
 Selection runs through :mod:`repro.lppa.schemes.registry`
 (``--scheme`` / ``$REPRO_SCHEME`` / explicit argument).
 """
 
 from __future__ import annotations
 
-from repro.lppa.schemes.base import PrivacyScheme
-from repro.lppa.schemes.bloom import BloomScheme
-from repro.lppa.schemes.ppbs import PpbsScheme
 from repro.lppa.schemes.registry import (
     DEFAULT_SCHEME,
     SCHEME_ENV,
     available_schemes,
     get_scheme,
-    register,
     resolve_scheme,
-    scheme_for_payload,
     set_active_scheme,
 )
 
 __all__ = [
     "DEFAULT_SCHEME",
     "SCHEME_ENV",
-    "BloomScheme",
-    "PpbsScheme",
-    "PrivacyScheme",
     "available_schemes",
     "get_scheme",
-    "register",
     "resolve_scheme",
-    "scheme_for_payload",
     "set_active_scheme",
 ]
-
-register(PpbsScheme())
-register(BloomScheme())

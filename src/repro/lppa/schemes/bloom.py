@@ -1,8 +1,9 @@
 """The Bloom scheme: Bloom-filter locations + OPE-ranked bids.
 
-A second complete privacy protocol behind the :class:`PrivacyScheme` seam,
-after the Bloom-filter location-privacy line of work (Grissa et al.; see
-PAPERS.md):
+A second complete privacy protocol — a
+:class:`~repro.lppa.round.backends.PrivacyScheme` backend, like PPBS's
+:class:`~repro.lppa.round.backends.CryptoBackend` — after the
+Bloom-filter location-privacy line of work (Grissa et al.; see PAPERS.md):
 
 * **Location phase** — each SU submits a keyed token for its own cell plus
   a Bloom filter over its interference box
@@ -57,30 +58,23 @@ from repro.lppa.location_bloom import (
     submit_locations_bloom,
 )
 from repro.lppa.policies import ZeroDisguisePolicy
-from repro.lppa.round.backends import TraceMeta, ValueBackend
-from repro.lppa.round.results import LppaResult
+from repro.lppa.round.backends import PrivacyScheme, TraceMeta
 from repro.lppa.round.state import RoundState
 from repro.lppa.round.tables import IntegerMaskedTable
-from repro.lppa.schemes.base import PrivacyScheme
-from repro.lppa.ttp import ChargeStatus, TrustedThirdParty
+from repro.lppa.ttp import ChargeStatus
 
-__all__ = ["BloomBackend", "BloomScheme", "BLOOM_BACKEND"]
+__all__ = ["BloomBackend", "BLOOM_BACKEND"]
 
 
-class BloomBackend(ValueBackend):
-    """The Bloom protocol's value backend."""
+class BloomBackend(PrivacyScheme):
+    """Bloom-filter locations + OPE bids, end to end."""
 
     name = "bloom"
+    location_tag = BLOOM_LOCATION_TAG
+    bid_tag = OPE_BID_TAG
 
     def setup(self, state: RoundState) -> None:
-        if state.scale is None:
-            state.ttp, state.keyring, state.scale = TrustedThirdParty.setup(
-                state.seed,
-                state.n_channels,
-                bmax=state.bmax,
-                rd=state.rd,
-                cr=state.cr,
-            )
+        self._setup_ttp(state)
 
     def setup_trace(self, state: RoundState) -> Sequence[TraceMeta]:
         scale = state.scale
@@ -152,24 +146,6 @@ class BloomBackend(ValueBackend):
                 n_edges=state.conflict.n_edges,
             )
         state.location_bytes = sum(s.wire_bytes() for s in state.location_subs)
-
-    def make_bids(self, state: RoundState) -> None:
-        assert state.users is not None and state.user_rngs is not None
-        assert state.keyring is not None and state.scale is not None
-        assert state.policies is not None
-        subs = []
-        for idx, user in enumerate(state.users):
-            submission, disclosure = submit_bids_ope(
-                idx,
-                user.bids,
-                state.keyring,
-                state.scale,
-                state.user_rngs[idx],
-                policy=state.policies[idx],
-            )
-            subs.append(submission)
-            state.disclosures.append(disclosure)
-        state.bid_subs = subs
 
     def ingest_bids(self, state: RoundState) -> None:
         assert state.bid_subs is not None
@@ -255,54 +231,9 @@ class BloomBackend(ValueBackend):
             n_users=len(state.bid_subs), wins=tuple(wins)
         )
 
-    def finalize(self, state: RoundState) -> None:
-        assert state.location_subs is not None and state.bid_subs is not None
-        assert state.outcome is not None
-        framed = sum(
-            len(encode_location_bloom(s)) for s in state.location_subs
-        ) + sum(len(encode_bids_ope(s)) for s in state.bid_subs)
-        state.framed_bytes = framed
-        obs.count("lppa.framed_bytes", framed)
-        obs.count("lppa.rounds")
-        assert state.location_bytes is not None and state.bid_bytes is not None
-        assert state.conflict is not None and state.rankings is not None
-        state.result = LppaResult(
-            outcome=state.outcome,
-            conflict_graph=state.conflict,
-            rankings=state.rankings,
-            disclosures=state.disclosure_tuple(),
-            location_bytes=state.location_bytes,
-            bid_bytes=state.bid_bytes,
-            masked_set_bytes=sum(
-                s.ope_material_bytes() for s in state.bid_subs
-            ),
-            framed_bytes=framed,
-        )
-        state.round_end_args = {
-            "winners": len(state.outcome.wins),
-            "framed_bytes": framed,
-            "payload_bytes": state.location_bytes + state.bid_bytes,
-        }
+    # -- wire half -------------------------------------------------------------
 
-
-#: Shared stateless singleton, like CRYPTO_BACKEND / PLAIN_BACKEND.
-BLOOM_BACKEND = BloomBackend()
-
-
-class BloomScheme(PrivacyScheme):
-    """Bloom-filter locations + OPE bids, end to end."""
-
-    name = "bloom"
-    location_tag = BLOOM_LOCATION_TAG
-    bid_tag = OPE_BID_TAG
-
-    @property
-    def backend(self) -> ValueBackend:
-        return BLOOM_BACKEND
-
-    # -- bidder side ---------------------------------------------------------
-
-    def make_location(
+    def seal_location(
         self,
         user_id: int,
         cell: Cell,
@@ -312,7 +243,7 @@ class BloomScheme(PrivacyScheme):
     ) -> BloomLocationSubmission:
         return submit_location_bloom(user_id, cell, keyring.g0, grid, two_lambda)
 
-    def make_bids(
+    def seal_bids(
         self,
         user_id: int,
         bids: Any,
@@ -323,8 +254,6 @@ class BloomScheme(PrivacyScheme):
         policy: Optional[ZeroDisguisePolicy] = None,
     ) -> Tuple[OpeBidSubmission, SubmissionDisclosure]:
         return submit_bids_ope(user_id, bids, keyring, scale, rng, policy=policy)
-
-    # -- payload codecs ------------------------------------------------------
 
     def encode_location(self, submission: BloomLocationSubmission) -> bytes:
         return encode_location_bloom(submission)
@@ -337,15 +266,6 @@ class BloomScheme(PrivacyScheme):
 
     def decode_bids(self, data: bytes) -> OpeBidSubmission:
         return decode_bids_ope(data)
-
-    # -- auctioneer side -----------------------------------------------------
-
-    def conflict_test(
-        self, a: BloomLocationSubmission, b: BloomLocationSubmission
-    ) -> bool:
-        return b.range_filter.contains(a.cell_token)
-
-    # -- auditor hooks -------------------------------------------------------
 
     def expected_framing(self, kind: str, record: Dict[str, Any]) -> Optional[int]:
         if kind == "location_submission":
@@ -402,3 +322,7 @@ class BloomScheme(PrivacyScheme):
             "measured_masked_bits": measured_bits,
         }
         return fields, tuple(errors)
+
+
+#: Shared stateless singleton, like CRYPTO_BACKEND / PLAIN_BACKEND.
+BLOOM_BACKEND = BloomBackend()

@@ -1,89 +1,56 @@
-"""The privacy-scheme registry: schemes by name, selection by precedence.
+"""The privacy-scheme registry: scheme name -> backend, selection by precedence.
 
-One process can host several complete privacy protocols
-(:class:`~repro.lppa.schemes.base.PrivacyScheme`); this module is the
-single place they are looked up:
+Each wire protocol is one :class:`~repro.lppa.round.backends.PrivacyScheme`
+backend; this module is the single place they are looked up:
 
-* :func:`get_scheme` — name -> scheme instance (``ValueError`` on unknown
-  names, listing what *is* registered);
+* :func:`get_scheme` — name -> backend (``ValueError`` on unknown names,
+  listing the known ones);
 * :func:`resolve_scheme` — the selection precedence every entry point
   shares: explicit argument > CLI-set active scheme > ``$REPRO_SCHEME`` >
-  the default ``ppbs``;
-* :func:`scheme_for_payload` — wire bytes -> scheme, by the leading
-  payload tag byte (each scheme's codecs use a distinct tag).
-
-Registration is *lazy*: the registry module itself imports no scheme, so
-``repro.lppa.schemes.registry`` is cycle-free for every protocol layer;
-the first lookup imports the :mod:`repro.lppa.schemes` package, whose
-``__init__`` registers the built-in schemes.
+  the default ``ppbs``.
 """
 
 from __future__ import annotations
 
-import importlib
 import os
 from typing import Dict, Optional, Tuple
 
-from repro.lppa.schemes.base import PrivacyScheme
+from repro.lppa.round.backends import CRYPTO_BACKEND, PrivacyScheme
+from repro.lppa.schemes.bloom import BLOOM_BACKEND
 
 __all__ = [
     "SCHEME_ENV",
     "DEFAULT_SCHEME",
     "available_schemes",
     "get_scheme",
-    "register",
     "resolve_scheme",
-    "scheme_for_payload",
     "set_active_scheme",
 ]
 
 #: Environment variable selecting the scheme when no argument does.
 SCHEME_ENV = "REPRO_SCHEME"
 
-#: The paper's protocol; selecting it is bit-identical to the pre-seam code.
+#: The paper's protocol.
 DEFAULT_SCHEME = "ppbs"
 
-_registry: Dict[str, PrivacyScheme] = {}
+_SCHEMES: Dict[str, PrivacyScheme] = {
+    scheme.name: scheme for scheme in (CRYPTO_BACKEND, BLOOM_BACKEND)
+}
 _active: Optional[str] = None
-_builtins_loaded = False
-
-
-def register(scheme: PrivacyScheme) -> PrivacyScheme:
-    """Add one scheme under its ``name``; re-registering a name raises."""
-    name = scheme.name
-    if not name or name == "abstract":
-        raise ValueError("scheme must carry a concrete registry name")
-    existing = _registry.get(name)
-    if existing is not None and type(existing) is not type(scheme):
-        raise ValueError(f"scheme {name!r} already registered")
-    _registry[name] = scheme
-    return scheme
-
-
-def _ensure_builtins() -> None:
-    # The schemes package registers its members at import time; doing the
-    # import here (not at module top) keeps registry <- scheme imports
-    # acyclic and makes registration idempotent.
-    global _builtins_loaded
-    if not _builtins_loaded:
-        importlib.import_module("repro.lppa.schemes")
-        _builtins_loaded = True
 
 
 def available_schemes() -> Tuple[str, ...]:
-    """Registered scheme names, sorted (the ``--scheme`` choices)."""
-    _ensure_builtins()
-    return tuple(sorted(_registry))
+    """Scheme names, sorted (the ``--scheme`` choices)."""
+    return tuple(sorted(_SCHEMES))
 
 
 def get_scheme(name: str) -> PrivacyScheme:
-    """Look one scheme up by name."""
-    _ensure_builtins()
-    scheme = _registry.get(name)
+    """Look one scheme's backend up by name."""
+    scheme = _SCHEMES.get(name)
     if scheme is None:
         raise ValueError(
             f"unknown privacy scheme {name!r} "
-            f"(registered: {', '.join(sorted(_registry))})"
+            f"(registered: {', '.join(sorted(_SCHEMES))})"
         )
     return scheme
 
@@ -110,16 +77,3 @@ def resolve_scheme(name: Optional[str] = None) -> PrivacyScheme:
     if env:
         return get_scheme(env)
     return get_scheme(DEFAULT_SCHEME)
-
-
-def scheme_for_payload(data: bytes) -> PrivacyScheme:
-    """Which scheme's codec produced this payload, by its leading tag byte."""
-    _ensure_builtins()
-    if data:
-        tag = data[:1]
-        for scheme in _registry.values():
-            if tag in (scheme.location_tag, scheme.bid_tag):
-                return scheme
-    raise ValueError(
-        f"payload tag {data[:1]!r} matches no registered scheme"
-    )

@@ -104,7 +104,7 @@ def run_lppa_auction(
         policy = KeepZeroPolicy()
 
     state = RoundState(
-        backend=resolve_scheme(scheme).backend,
+        backend=resolve_scheme(scheme),
         driver=IN_PROCESS_DRIVER,
         n_users=len(users),
         n_channels=n_channels,

@@ -34,7 +34,7 @@ from repro.crypto.keys import KeyRing
 from repro.geo.grid import GridSpec
 from repro.lppa.bids_advanced import BidScale
 from repro.lppa.policies import KeepZeroPolicy, ZeroDisguisePolicy
-from repro.lppa.schemes.base import PrivacyScheme
+from repro.lppa.round.backends import PrivacyScheme
 from repro.lppa.schemes.registry import DEFAULT_SCHEME, get_scheme
 from repro.net.frames import (
     FRAME_HEADER_BYTES,
@@ -261,7 +261,7 @@ class SUClient:
         # randomness is a function of (round entropy, this SU's id) only.
         rng = bidder_rng(entropy, self._su_id)
 
-        location = self._scheme.make_location(
+        location = self._scheme.seal_location(
             self._su_id, self._user.cell, self._keyring,
             self._grid, self._two_lambda,
         )
@@ -274,7 +274,7 @@ class SUClient:
         obs.observe("net.client.frame_rtt", monotonic() - t_sent)
         if ftype is not FrameType.BID_REQUEST:
             self._unexpected(ftype, payload, expected="BID_REQUEST")
-        bids, _disclosure = self._scheme.make_bids(
+        bids, _disclosure = self._scheme.seal_bids(
             self._su_id, self._user.bids, self._keyring, self._scale, rng,
             policy=self._policy,
         )

@@ -605,7 +605,7 @@ class AuctioneerServer:
         tr = trace.get_active()
         driver = _NetRoundDriver(self, round_index, entropy, roster)
         state = RoundState(
-            backend=self._scheme.backend,
+            backend=self._scheme,
             driver=driver,
             n_users=len(roster),
             n_channels=cfg.n_channels,

@@ -23,7 +23,7 @@ from repro import obs
 from repro.analysis.trace_audit import audit_comm_cost, audit_privacy
 from repro.auction.bidders import generate_users
 from repro.crypto.backend import use_backend
-from repro.crypto.cache import get_mask_cache
+from repro.crypto.cache import cache_disabled, get_mask_cache
 from repro.crypto.keys import generate_keyring
 from repro.geo.datasets import make_database
 from repro.geo.grid import GridSpec
@@ -187,7 +187,8 @@ def test_round_matches_pure_baseline(backend, users, reference_round, database):
 
 
 def test_warm_cache_round_identical_to_cold(users, reference_round):
-    """Cache hits must be invisible: same results, same traced bytes."""
+    """Cache hits must be invisible: same results, same traced bytes — and
+    so must bypassing the cache altogether."""
     with use_backend("hashlib"):
         get_mask_cache().clear()
         with obs.tracing() as cold_recorder:
@@ -202,7 +203,15 @@ def test_warm_cache_round_identical_to_cold(users, reference_round):
                 users, GRID, two_lambda=6, bmax=127, entropy="backend-diff:0"
             )
         assert cache.hits > hits_before
+        lookups_before = (cache.hits, cache.misses)
+        with cache_disabled(), obs.tracing() as uncached_recorder:
+            uncached = run_lppa_auction(
+                users, GRID, two_lambda=6, bmax=127, entropy="backend-diff:0"
+            )
+        assert (cache.hits, cache.misses) == lookups_before
     assert warm == cold
     assert warm_recorder.summary() == cold_recorder.summary()
+    assert uncached == cold
+    assert uncached_recorder.summary() == cold_recorder.summary()
     # And both equal the pure-backend baseline round.
     assert cold == reference_round[1]

@@ -135,3 +135,32 @@ def test_roundtrip_survives_many_seeds():
         assert again == sub
         assert again.wire_size() == sub.wire_size()
         assert again.masked_set_bytes() == sub.masked_set_bytes()
+
+
+# --- the same pins for the Bloom scheme's messages ---
+
+from repro.lppa.bids_ope import decode_bids_ope, encode_bids_ope, submit_bids_ope
+from repro.lppa.location_bloom import (
+    decode_location_bloom,
+    encode_location_bloom,
+    submit_location_bloom,
+)
+
+
+def test_bloom_location_wire_size_equals_encoded_length():
+    for two_lambda in (2, 4, 6, 8):
+        for cell in ((0, 0), (12, 25), (31, 31)):
+            sub = submit_location_bloom(6, cell, _KEYRING.g0, _GRID, two_lambda)
+            encoded = encode_location_bloom(sub)
+            assert sub.wire_size() == len(encoded)
+            assert decode_location_bloom(encoded) == sub
+
+
+def test_ope_bid_submission_wire_size_equals_encoded_length():
+    for seed in range(4):
+        sub = submit_bids_ope(
+            9, [5, 0, 22, 17], _KEYRING, _SCALE, random.Random(seed)
+        )[0]
+        encoded = encode_bids_ope(sub)
+        assert sub.wire_size() == len(encoded)
+        assert decode_bids_ope(encoded) == sub

@@ -1,4 +1,4 @@
-"""Scheme registry: lookup, selection precedence, payload dispatch."""
+"""Scheme registry: lookup, selection precedence, one backend per scheme."""
 
 import pytest
 
@@ -8,9 +8,10 @@ from repro.lppa.schemes.registry import (
     available_schemes,
     get_scheme,
     resolve_scheme,
-    scheme_for_payload,
     set_active_scheme,
 )
+from repro.lppa.round.backends import CRYPTO_BACKEND
+from repro.lppa.schemes.bloom import BLOOM_BACKEND
 
 
 @pytest.fixture(autouse=True)
@@ -24,6 +25,11 @@ def _clean_selection(monkeypatch):
 
 def test_builtins_are_registered():
     assert available_schemes() == ("bloom", "ppbs")
+
+
+def test_each_scheme_is_its_round_backend():
+    assert get_scheme("ppbs") is CRYPTO_BACKEND
+    assert get_scheme("bloom") is BLOOM_BACKEND
 
 
 def test_unknown_name_lists_registered_schemes():
@@ -86,19 +92,3 @@ def test_payload_tags_are_distinct_across_schemes():
         tags.extend([scheme.location_tag, scheme.bid_tag])
     assert len(tags) == len(set(tags))
     assert all(len(tag) == 1 for tag in tags)
-
-
-def test_scheme_for_payload_dispatches_by_tag():
-    ppbs = get_scheme("ppbs")
-    bloom = get_scheme("bloom")
-    assert scheme_for_payload(ppbs.location_tag + b"rest") is ppbs
-    assert scheme_for_payload(ppbs.bid_tag + b"rest") is ppbs
-    assert scheme_for_payload(bloom.location_tag + b"rest") is bloom
-    assert scheme_for_payload(bloom.bid_tag + b"rest") is bloom
-
-
-def test_scheme_for_payload_rejects_unknown_tag_and_empty():
-    with pytest.raises(ValueError, match="matches no registered scheme"):
-        scheme_for_payload(b"\xff\x00\x00")
-    with pytest.raises(ValueError, match="matches no registered scheme"):
-        scheme_for_payload(b"")

@@ -11,8 +11,8 @@ wire formats:
 * **garbage** — random bytes behind a valid scheme tag either raise
   :class:`CodecError` or decode to a value whose re-encoding reproduces the
   input exactly (no third outcome);
-* **dispatch** — the registry routes every encoded payload to the scheme
-  that owns its tag byte.
+* **dispatch** — every encoded payload leads with the tag byte its scheme
+  declares, and the other scheme's strict decoder rejects it.
 """
 
 import random
@@ -37,7 +37,7 @@ from repro.lppa.location_bloom import (
     encode_location_bloom,
     submit_location_bloom,
 )
-from repro.lppa.schemes.registry import get_scheme, scheme_for_payload
+from repro.lppa.schemes.registry import get_scheme
 
 N_CHANNELS = 4
 KEYRING = generate_keyring(b"scheme-codec-prop", N_CHANNELS, rd=4, cr=8)
@@ -152,20 +152,29 @@ def test_wrong_tag_rejected():
         decode_bids_ope(b"X" + b"\x00" * 16)
 
 
-# --- registry dispatch by leading tag byte -------------------------------------
+# --- dispatch by leading tag byte ----------------------------------------------
 
 
 @settings(max_examples=10, deadline=None)
 @given(loc=bloom_locations, bids=ope_bid_submissions)
 def test_payload_tag_dispatch(loc, bids):
-    bloom = get_scheme("bloom")
-    assert scheme_for_payload(encode_location_bloom(loc)) is bloom
-    assert scheme_for_payload(encode_bids_ope(bids)) is bloom
+    bloom, ppbs = get_scheme("bloom"), get_scheme("ppbs")
+    loc_blob, bids_blob = encode_location_bloom(loc), encode_bids_ope(bids)
+    assert loc_blob[:1] == bloom.location_tag
+    assert bids_blob[:1] == bloom.bid_tag
+    with pytest.raises(CodecError):
+        ppbs.decode_location(loc_blob)
+    with pytest.raises(CodecError):
+        ppbs.decode_bids(bids_blob)
 
 
 def test_ppbs_payloads_dispatch_to_ppbs():
     from repro.lppa.codec import encode_location
     from repro.lppa.location import submit_location
 
-    loc = submit_location(0, (1, 2), KEYRING.g0, GRID, TWO_LAMBDA)
-    assert scheme_for_payload(encode_location(loc)) is get_scheme("ppbs")
+    blob = encode_location(
+        submit_location(0, (1, 2), KEYRING.g0, GRID, TWO_LAMBDA)
+    )
+    assert blob[:1] == get_scheme("ppbs").location_tag
+    with pytest.raises(CodecError):
+        get_scheme("bloom").decode_location(blob)
