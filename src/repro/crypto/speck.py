@@ -17,6 +17,7 @@ ciphertexts).
 from __future__ import annotations
 
 import struct
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["Speck64128", "ctr_encrypt", "ctr_decrypt"]
 
@@ -36,7 +37,8 @@ class Speck64128:
     """Speck with a 64-bit block and 128-bit key.
 
     The class exposes raw single-block ``encrypt_block``/``decrypt_block``
-    plus the CTR-mode helpers used by the protocol.
+    plus the CTR-mode helpers used by the protocol, and
+    :meth:`encrypt_blocks`, the lane-batched kernel that seals bids.
     """
 
     block_size = 8
@@ -57,6 +59,9 @@ class Speck64128:
             new_k = _rol(self._round_keys[i], 3) ^ new_l
             l.append(new_l)
             self._round_keys.append(new_k)
+        # Per lane count in use: the 32-bit lane mask and the round keys,
+        # each repeated into every lane.
+        self._lanes: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt one 8-byte block."""
@@ -77,6 +82,41 @@ class Speck64128:
             y = _ror(y ^ x, 3)
             x = _rol(((x ^ k) - y) & _MASK32, 8)
         return struct.pack("<2I", y, x)
+
+    def encrypt_blocks(self, blocks: Sequence[bytes]) -> List[bytes]:
+        """Encrypt many 8-byte blocks at once; equal to ``encrypt_block`` each.
+
+        The sealing kernel: every bid of a submission is one CTR keystream
+        block.  Block ``i``'s words sit in 64-bit lane ``i`` of one Python
+        int per Speck word (SWAR), so each of the 27 rounds is a dozen
+        whole-int operations whatever the lane count.  A 32-bit word sits
+        in the low half of its lane; the high half gives the rotations room
+        to wrap and the addition room to carry without reaching the next
+        lane, and every result is masked back to 32 bits.
+        """
+        n = len(blocks)
+        if n == 0:
+            return []
+        if any(len(block) != self.block_size for block in blocks):
+            raise ValueError("Speck64 block must be 8 bytes")
+        lanes = self._lanes.get(n)
+        if lanes is None:
+            ones = sum(1 << (64 * i) for i in range(n))
+            lanes = (_MASK32 * ones, tuple(k * ones for k in self._round_keys))
+            self._lanes[n] = lanes
+        m32, keys = lanes
+        # A block is its little-endian words y, x: lane i of the whole
+        # little-endian int is y_i | x_i << 32.
+        words = int.from_bytes(b"".join(blocks), "little")
+        y = words & m32
+        x = (words >> 32) & m32
+        for k in keys:
+            # ror(x, 8) and rol(y, 3): copy each lane's word into the
+            # lane's high half, shift the pair, keep the low half.
+            x = (((((x | (x << 32)) >> 8) & m32) + y) & m32) ^ k
+            y = (((y | (y << 32)) >> 29) & m32) ^ x
+        out = (y | (x << 32)).to_bytes(8 * n, "little")
+        return [out[i : i + 8] for i in range(0, 8 * n, 8)]
 
     def _keystream(self, nonce: bytes, n_bytes: int) -> bytes:
         if len(nonce) != 4:

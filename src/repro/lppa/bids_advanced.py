@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.crypto.keys import KeyRing
-from repro.lppa.bids_basic import encrypt_bid_value
+from repro.lppa.bids_basic import draw_bid_nonce, encrypt_bid_values
 from repro.lppa.messages import BidSubmission, MaskedBid
 from repro.lppa.policies import KeepZeroPolicy, ZeroDisguisePolicy
 from repro.prefix.membership import (
@@ -39,8 +39,8 @@ from repro.prefix.membership import (
     mask_spec_digests,
     pad_masked_set,
 )
-from repro.prefix.prefixes import bit_width_for, prefix_family
-from repro.prefix.ranges import max_cover_size, range_cover
+from repro.prefix.prefixes import bit_width_for
+from repro.prefix.ranges import max_cover_size
 
 __all__ = [
     "BidScale",
@@ -216,49 +216,46 @@ def submit_bids_advanced(
     # Masking consumes no randomness, so all channels' families and tail
     # covers go through one backend batch up front; the per-channel loop
     # below then draws pad fillers and ciphertext nonces in exactly the
-    # order the digest-at-a-time implementation did.
+    # order the digest-at-a-time implementation did, and every channel's
+    # value is sealed afterwards in one lane-batched Speck call.
     specs: List[MaskSpec] = []
     for channel, disclosure in enumerate(disclosures):
         key = keyring.channel_key(channel)
+        value = disclosure.masked_expanded
+        specs.append(MaskSpec.family(key, value, width, domain=_BID_DOMAIN))
         specs.append(
-            MaskSpec.of(
-                key,
-                prefix_family(disclosure.masked_expanded, width),
-                domain=_BID_DOMAIN,
-            )
-        )
-        specs.append(
-            MaskSpec.of(
-                key,
-                range_cover(disclosure.masked_expanded, scale.emax, width),
-                domain=_BID_DOMAIN,
-            )
+            MaskSpec.cover(key, value, scale.emax, width, domain=_BID_DOMAIN)
         )
     digests = mask_spec_digests(specs)
 
-    channel_bids: List[MaskedBid] = []
+    families: List[MaskedSet] = []
+    tails: List[MaskedSet] = []
+    nonces: List[bytes] = []
     for channel, disclosure in enumerate(disclosures):
         family = MaskedSet(
             frozenset(digests[2 * channel]), digest_bytes=DEFAULT_DIGEST_BYTES
         )
         obs.count("prefix.masked_sets")
         obs.count("prefix.masked_digests", len(family))
-        channel_bids.append(
-            MaskedBid(
-                family=family,
-                tail=pad_masked_set(
-                    set(digests[2 * channel + 1]),
-                    ceiling=ceiling,
-                    digest_bytes=DEFAULT_DIGEST_BYTES,
-                    rng=rng,
-                ),
-                ciphertext=encrypt_bid_value(
-                    keyring.gc, disclosure.true_expanded, rng
-                ),
+        families.append(family)
+        tails.append(
+            pad_masked_set(
+                set(digests[2 * channel + 1]),
+                ceiling=ceiling,
+                digest_bytes=DEFAULT_DIGEST_BYTES,
+                rng=rng,
             )
         )
+        nonces.append(draw_bid_nonce(disclosure.true_expanded, rng))
+    ciphertexts = encrypt_bid_values(
+        keyring.gc, [d.true_expanded for d in disclosures], nonces
+    )
+    channel_bids = tuple(
+        MaskedBid(family=family, tail=tail, ciphertext=ciphertext)
+        for family, tail, ciphertext in zip(families, tails, ciphertexts)
+    )
 
     return (
-        BidSubmission(user_id=user_id, channel_bids=tuple(channel_bids)),
+        BidSubmission(user_id=user_id, channel_bids=channel_bids),
         SubmissionDisclosure(user_id=user_id, channels=tuple(disclosures)),
     )

@@ -35,7 +35,7 @@ from repro.lppa.bids_advanced import (
     SubmissionDisclosure,
     disguise_and_expand,
 )
-from repro.lppa.bids_basic import encrypt_bid_value
+from repro.lppa.bids_basic import draw_bid_nonce, encrypt_bid_values
 from repro.lppa.codec import CodecError
 from repro.lppa.policies import ZeroDisguisePolicy
 
@@ -168,6 +168,9 @@ def submit_bids_ope(
         raise ValueError("key ring and bid scale disagree on rd/cr")
 
     disclosures = disguise_and_expand(bids, scale, rng, policy=policy)
+    values = [disclosure.true_expanded for disclosure in disclosures]
+    nonces = [draw_bid_nonce(value, rng) for value in values]
+    ciphertexts = encrypt_bid_values(keyring.gc, values, nonces)
     channel_bids: List[OpeBid] = []
     for channel, disclosure in enumerate(disclosures):
         encoder = ope_encoder_for(keyring.channel_key(channel), scale)
@@ -175,9 +178,7 @@ def submit_bids_ope(
             OpeBid(
                 ope_value=encoder.encrypt(disclosure.masked_expanded),
                 ope_bytes=encoder.ciphertext_bytes,
-                ciphertext=encrypt_bid_value(
-                    keyring.gc, disclosure.true_expanded, rng
-                ),
+                ciphertext=ciphertexts[channel],
             )
         )
     return (

@@ -13,13 +13,18 @@ The auctioneer declares a conflict between SUs *i* and *j* when *j*'s filter
 contains *i*'s token — the same one-directional test the PPBS membership
 check uses, exact for in-grid cells up to the filter's false-positive rate.
 
-The filter is sized so that false positives are negligible at auction scale:
-``n_bits`` is the next power of two above ``32 * (2d+1)^2`` (4096 bits for
-the standard ``2λ = 6``), with ``k = 7`` hash positions sliced keylessly
-from the 16-byte token (positions ``i`` use token bytes ``2i..2i+4``).  At
-that sizing the per-query false-positive probability is ~8e-6, so the Bloom
-conflict graph matches the plaintext graph on every realistic population —
-which the differential tests assert against PPBS.
+The filter size is fixed by the interference box: ``n_bits`` is the next
+power of two above ``32 * (2d+1)^2`` (4096 bits for the standard
+``2λ = 6``), with ``k = 7`` hash positions sliced keylessly from the
+16-byte token (positions ``i`` use token bytes ``2i..2i+4``).  At that
+sizing the per-query false-positive probability is about ``8e-6``.
+The Bloom graph never misses a plaintext edge, but it can hold false ones:
+the auctioneer makes one query per pair, ``N(N-1)/2`` for ``N`` SUs, so
+it expects about ``8e-6 * N(N-1)/2`` false edges — 0.16 at 200 SUs, 16 at
+2000 (``perfbench`` counted 14 on one 2000-SU population).  The
+differential tests against PPBS use populations small enough to expect
+none.  ROADMAP item 3(f) (the masked graph equals the plaintext graph)
+tracks the gap.
 """
 
 from __future__ import annotations
@@ -72,7 +77,8 @@ def bloom_params(two_lambda: int) -> Tuple[int, int, int]:
 
     ``n_bits`` targets ~32 bits per inserted cell — with ``k = 7`` hashes
     that puts the false-positive rate around ``8e-6`` per membership query,
-    far below anything a CI-sized (or paper-sized) population can hit.
+    about ``8e-6 * N(N-1)/2`` expected false edges over ``N`` SUs (see the
+    module docstring).
     """
     if two_lambda < 1:
         raise ValueError("two_lambda must be >= 1")

@@ -9,7 +9,9 @@ This module provides:
 
 * :class:`MaskedSet` — an immutable set of digests with intersection tests;
 * :class:`MaskSpec` / :func:`mask_specs` — the batch API: describe many
-  prefix sets and mask them all in one backend call;
+  prefix sets and mask them all in one backend call (:meth:`MaskSpec.family`
+  and :meth:`MaskSpec.cover` take their HMAC inputs from memo tables keyed
+  by value, so a repeated value costs no prefix encoding);
 * :func:`mask_value` — mask the prefix family ``G(x)`` of a value;
 * :func:`mask_range` — mask the cover ``Q([a, b])`` of a range, optionally
   padded with random filler digests to a fixed cardinality (the advanced
@@ -31,7 +33,8 @@ or disabled.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
@@ -74,11 +77,10 @@ class MaskedSet:
     def __post_init__(self) -> None:
         if self.digest_bytes < 4:
             raise ValueError("digest truncation below 4 bytes is unsafe")
-        for d in self.digests:
-            if len(d) != self.digest_bytes:
-                raise ValueError(
-                    "all digests in a MaskedSet must have digest_bytes length"
-                )
+        if not set(map(len, self.digests)) <= {self.digest_bytes}:
+            raise ValueError(
+                "all digests in a MaskedSet must have digest_bytes length"
+            )
 
     def __len__(self) -> int:
         return len(self.digests)
@@ -96,19 +98,54 @@ class MaskedSet:
         return len(self.digests) * self.digest_bytes
 
 
+def _encode(prefixes: Tuple[Prefix, ...], domain: bytes) -> Tuple[bytes, ...]:
+    """The HMAC input of each prefix: domain label, then ``O(p)`` bytes."""
+    return tuple(
+        domain + numericalized_to_bytes(numericalize(p), p.width)
+        for p in prefixes
+    )
+
+
+@lru_cache(maxsize=65536)
+def _family_table(
+    domain: bytes, x: int, width: int
+) -> Tuple[Tuple[Prefix, ...], Tuple[bytes, ...]]:
+    prefixes = tuple(prefix_family(x, width))
+    return prefixes, _encode(prefixes, domain)
+
+
+@lru_cache(maxsize=65536)
+def _cover_table(
+    domain: bytes, low: int, high: int, width: int
+) -> Tuple[Tuple[Prefix, ...], Tuple[bytes, ...]]:
+    prefixes = tuple(range_cover(low, high, width))
+    return prefixes, _encode(prefixes, domain)
+
+
 @dataclass(frozen=True)
 class MaskSpec:
     """One prefix set awaiting masking: the unit of the batch API.
 
     ``prefixes`` keeps input order — digest order must match what a
     per-prefix loop would produce so cached and cold results interleave
-    transparently.
+    transparently.  The spec carries its HMAC inputs, encoded once when it
+    is built: :meth:`of` encodes any prefix set, while :meth:`family` and
+    :meth:`cover` look theirs up in memo tables keyed by value.
     """
 
     key: bytes
     prefixes: Tuple[Prefix, ...]
     domain: bytes = b""
     digest_bytes: int = DEFAULT_DIGEST_BYTES
+    _messages: Optional[Tuple[bytes, ...]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self._messages is None:
+            object.__setattr__(
+                self, "_messages", _encode(self.prefixes, self.domain)
+            )
 
     @staticmethod
     def of(
@@ -121,13 +158,37 @@ class MaskSpec:
         """Build a spec from any prefix iterable (tuple-ifies for hashing)."""
         return MaskSpec(key, tuple(prefixes), domain, digest_bytes)
 
+    @staticmethod
+    def family(
+        key: bytes,
+        x: int,
+        width: int,
+        *,
+        domain: bytes = b"",
+        digest_bytes: int = DEFAULT_DIGEST_BYTES,
+    ) -> "MaskSpec":
+        """The spec of ``G(x)``; equal to ``of(key, prefix_family(x, width))``."""
+        prefixes, messages = _family_table(domain, x, width)
+        return MaskSpec(key, prefixes, domain, digest_bytes, messages)
+
+    @staticmethod
+    def cover(
+        key: bytes,
+        low: int,
+        high: int,
+        width: int,
+        *,
+        domain: bytes = b"",
+        digest_bytes: int = DEFAULT_DIGEST_BYTES,
+    ) -> "MaskSpec":
+        """The spec of ``Q([low, high])``; equal to
+        ``of(key, range_cover(low, high, width))``."""
+        prefixes, messages = _cover_table(domain, low, high, width)
+        return MaskSpec(key, prefixes, domain, digest_bytes, messages)
+
     def messages(self) -> Tuple[bytes, ...]:
         """The exact HMAC inputs, in prefix order."""
-        return tuple(
-            self.domain
-            + numericalized_to_bytes(numericalize(p), p.width)
-            for p in self.prefixes
-        )
+        return self._messages  # type: ignore[return-value]
 
 
 def mask_spec_digests(specs: Sequence[MaskSpec]) -> List[Tuple[bytes, ...]]:
@@ -189,6 +250,25 @@ def mask_specs(specs: Sequence[MaskSpec]) -> List[MaskedSet]:
     return out
 
 
+def _draw_fillers(rng: random.Random, digest_bytes: int, count: int) -> List[bytes]:
+    """``count`` fillers from one ``getrandbits`` call, bit-identical to
+    ``count`` successive ``getrandbits(8 * digest_bytes)`` draws.
+
+    CPython's ``getrandbits(k)`` fills 32-bit words least significant
+    first and keeps only the top ``k % 32`` bits of a last partial word.
+    One draw of whole words for every filler therefore holds the words of
+    the successive draws in order, least significant first; a partial top
+    word is cut back to its leading bytes.
+    """
+    stride = -(-digest_bytes // 4) * 4  # bytes of whole words per filler
+    blob = rng.getrandbits(8 * stride * count).to_bytes(stride * count, "big")
+    starts = range(len(blob) - stride, -1, -stride)
+    if stride == digest_bytes:
+        return [blob[s : s + stride] for s in starts]
+    head = digest_bytes - stride + 4  # bytes kept of the top word
+    return [blob[s : s + head] + blob[s + 4 : s + stride] for s in starts]
+
+
 def pad_masked_set(
     digests: Set[bytes],
     *,
@@ -200,11 +280,15 @@ def pad_masked_set(
 
     Fillers come from the caller's RNG at call time — never from a cache —
     so draw order is bit-identical whether the genuine digests were
-    computed or recalled.  A filler colliding with an existing digest is
-    simply redrawn by the ``while``, matching the historical behaviour.
+    computed or recalled.  All missing fillers come from one draw whose
+    bits equal one draw per filler; a filler colliding with an existing
+    digest is simply redrawn by the ``while``, as a filler-at-a-time loop
+    would redraw it.
     """
-    while len(digests) < ceiling:
-        digests.add(rng.getrandbits(8 * digest_bytes).to_bytes(digest_bytes, "big"))
+    missing = ceiling - len(digests)
+    while missing > 0:
+        digests.update(_draw_fillers(rng, digest_bytes, missing))
+        missing = ceiling - len(digests)
     obs.count("prefix.masked_sets")
     obs.count("prefix.masked_digests", len(digests))
     return MaskedSet(frozenset(digests), digest_bytes=digest_bytes)
@@ -238,9 +322,9 @@ def mask_value(
     digest_bytes: int = DEFAULT_DIGEST_BYTES,
 ) -> MaskedSet:
     """Mask the prefix family ``G(x)`` — always ``width + 1`` digests."""
-    return mask_prefixes(
-        key, prefix_family(x, width), domain=domain, digest_bytes=digest_bytes
-    )
+    return mask_specs(
+        [MaskSpec.family(key, x, width, domain=domain, digest_bytes=digest_bytes)]
+    )[0]
 
 
 def mask_range(
@@ -263,8 +347,9 @@ def mask_range(
     flip a membership test — is about ``2**-(8*digest_bytes - 6)`` per set
     and is ignored, exactly as the paper does.
     """
-    cover = range_cover(low, high, width)
-    spec = MaskSpec.of(key, cover, domain=domain, digest_bytes=digest_bytes)
+    spec = MaskSpec.cover(
+        key, low, high, width, domain=domain, digest_bytes=digest_bytes
+    )
     digests = set(mask_spec_digests([spec])[0])
     if pad_to is None:
         obs.count("prefix.masked_sets")
