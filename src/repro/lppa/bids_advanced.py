@@ -111,7 +111,7 @@ class BidScale:
         return 0 <= offset_value <= self.rd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelDisclosure:
     """SU-side record of what really happened on one channel.
 
@@ -126,7 +126,7 @@ class ChannelDisclosure:
     disguised: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubmissionDisclosure:
     """All per-channel disclosures of one submission."""
 
@@ -232,9 +232,7 @@ def submit_bids_advanced(
     tails: List[MaskedSet] = []
     nonces: List[bytes] = []
     for channel, disclosure in enumerate(disclosures):
-        family = MaskedSet(
-            frozenset(digests[2 * channel]), digest_bytes=DEFAULT_DIGEST_BYTES
-        )
+        family = MaskedSet(digests[2 * channel], DEFAULT_DIGEST_BYTES)
         obs.count("prefix.masked_sets")
         obs.count("prefix.masked_digests", len(family))
         families.append(family)

@@ -77,7 +77,7 @@ def reset_ope_cache() -> None:
     _encoder.cache_clear()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpeBid:
     """One channel's sealed bid: OPE value for ranking + TTP ciphertext."""
 
@@ -102,7 +102,7 @@ class OpeBid:
         return self.wire_bytes() + OPE_BID_FRAMING
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpeBidSubmission:
     """One SU's sealed bid vector (one :class:`OpeBid` per channel)."""
 

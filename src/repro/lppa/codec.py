@@ -51,7 +51,7 @@ def encode_masked_set(masked: MaskedSet) -> bytes:
     if len(masked) > 0xFFFF:
         raise CodecError("masked set too large for the u16 count field")
     parts = [struct.pack(">BH", masked.digest_bytes, len(masked))]
-    parts.extend(sorted(masked.digests))
+    parts.extend(sorted(masked))
     return b"".join(parts)
 
 
@@ -69,13 +69,16 @@ def decode_masked_set(data: bytes, offset: int = 0) -> Tuple[MaskedSet, int]:
     end = offset + digest_bytes * count
     if len(data) < end:
         raise CodecError("truncated masked-set body")
-    digests = frozenset(
-        data[offset + i * digest_bytes : offset + (i + 1) * digest_bytes]
-        for i in range(count)
+    masked = MaskedSet(
+        (
+            data[offset + i * digest_bytes : offset + (i + 1) * digest_bytes]
+            for i in range(count)
+        ),
+        digest_bytes,
     )
-    if len(digests) != count:
+    if len(masked) != count:
         raise CodecError("duplicate digests on the wire")
-    return MaskedSet(digests, digest_bytes=digest_bytes), end
+    return masked, end
 
 
 def encode_location(submission: LocationSubmission) -> bytes:

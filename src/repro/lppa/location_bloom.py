@@ -131,7 +131,7 @@ class BloomFilter:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BloomLocationSubmission:
     """One SU's Bloom location message: own-cell token + range filter."""
 

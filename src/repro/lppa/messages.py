@@ -45,7 +45,7 @@ CHANNEL_COUNT_BYTES = 2
 CIPHERTEXT_LEN_BYTES = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocationSubmission:
     """Step iii of the private location submission protocol.
 
@@ -82,7 +82,7 @@ class LocationSubmission:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaskedBid:
     """One channel's worth of a bid submission.
 
@@ -112,7 +112,7 @@ class MaskedBid:
         return self.wire_bytes() + 2 * SET_HEADER_BYTES + CIPHERTEXT_LEN_BYTES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BidSubmission:
     """A bidder's full bid vector, masked, one :class:`MaskedBid` per channel."""
 

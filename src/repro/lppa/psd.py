@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.auction.table import BidTable
 from repro.lppa.messages import BidSubmission, MaskedBid
@@ -156,8 +156,10 @@ class MaskedBidTable(BidTable):
         # Memoized pairwise verdicts: (channel, i, j) -> "b_i >= b_j".  The
         # masked sets are immutable for the round, so each ordered pair
         # needs at most one membership test, shared by ranking()'s chain
-        # verification and every later probe (attack layer, tests).
-        self._ge_cache: Dict[Tuple[int, int, int], bool] = {}
+        # verification and every later probe (attack layer, tests).  The
+        # triple is packed into one int key: a tuple key per pair would be
+        # one more object for the garbage collector to track.
+        self._ge_cache: Dict[int, bool] = {}
 
     # BidTable interface --------------------------------------------------------
 
@@ -216,7 +218,10 @@ class MaskedBidTable(BidTable):
         the round's immutable submissions, so repeat queries (the ranking's
         equivalence-class pass, attack-layer probes) cost a dict lookup.
         """
-        key = (channel, i, j)
+        n = self._n_users
+        if not (0 <= i < n and 0 <= j < n and 0 <= channel < self._n_channels):
+            raise IndexError(f"no entry ({i}, {j}) on channel {channel}")
+        key = (channel * n + i) * n + j
         cached = self._ge_cache.get(key)
         if cached is None:
             column = self._bids[channel]

@@ -40,9 +40,10 @@ per-event records share one set of phase names.
 from __future__ import annotations
 
 from types import TracebackType
-from typing import ContextManager, Iterator, Optional, Type, Union
+from typing import ContextManager, Dict, Iterator, Optional, Type, Union
 
 import contextlib
+import gc
 
 from repro.obs.artifact import (
     ARTIFACT_PREFIX,
@@ -52,6 +53,7 @@ from repro.obs.artifact import (
     validate_artifact,
     write_artifact,
 )
+from repro.obs.clock import monotonic
 from repro.obs.diff import DEFAULT_THRESHOLD, DiffReport, diff_artifacts
 from repro.obs.hist import Gauge, Histogram
 from repro.obs.openmetrics import render_openmetrics
@@ -117,6 +119,31 @@ class _NullScope:
 
 _NULL_SCOPE = _NullScope()
 
+#: Timer name per collector generation (0, 1, 2).
+_GC_TIMERS = ("gc.gen0", "gc.gen1", "gc.gen2")
+
+#: Clock reading at the start of the collection in progress, if any.
+_gc_started: Optional[float] = None
+
+
+def _record_collection(phase: str, info: Dict[str, int]) -> None:
+    """``gc.callbacks`` hook: time each collection into the active registry.
+
+    The collector never runs two collections at once, so one start time
+    suffices.  The pause lands under the open phase scope, which shows
+    the phase a collection interrupted.
+    """
+    global _gc_started
+    if phase == "start":
+        _gc_started = monotonic()
+        return
+    started, _gc_started = _gc_started, None
+    registry = _active
+    if registry is not None and started is not None:
+        registry.record_seconds(
+            _GC_TIMERS[info["generation"]], monotonic() - started
+        )
+
 
 def get_active() -> Optional[MetricsRegistry]:
     """The registry currently collecting, or ``None`` when disabled."""
@@ -154,10 +181,18 @@ def collecting(
     pass ``True`` for a fresh :class:`TraceRecorder`, or an existing
     recorder instance.  Retrieve it afterwards via the recorder you passed
     (or :func:`repro.obs.trace.get_active` inside the block).
+
+    While any such block is open, a ``gc.callbacks`` hook records every
+    garbage collection as the timers ``gc.gen0`` / ``gc.gen1`` /
+    ``gc.gen2`` (count and pause seconds) on whichever registry is
+    active.  The outermost block installs the hook and removes it on exit.
     """
     global _active
     previous = _active
     installed = enable(registry)
+    hooked = _record_collection not in gc.callbacks
+    if hooked:
+        gc.callbacks.append(_record_collection)
     try:
         if trace is None or trace is False:
             yield installed
@@ -167,6 +202,8 @@ def collecting(
                 yield installed
     finally:
         _active = previous
+        if hooked:
+            gc.callbacks.remove(_record_collection)
 
 
 def tracing(

@@ -33,7 +33,7 @@ or disabled.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -62,28 +62,69 @@ __all__ = [
 DEFAULT_DIGEST_BYTES = 16
 
 
-@dataclass(frozen=True)
-class MaskedSet:
+class MaskedSet(frozenset[bytes]):
     """An unordered set of equal-length HMAC digests.
 
-    ``digests`` is a frozenset so equality/intersection semantics are the
-    set-theoretic ones the protocol needs; ``digest_bytes`` is carried along
-    purely for wire-size accounting (Theorem 4).
+    The set *is* a frozenset of its digests, so equality and intersection
+    are the set-theoretic ones the protocol needs; ``digest_bytes`` rides in
+    one slot, purely for wire-size accounting (Theorem 4).  One set is one
+    object for the garbage collector to track, not a record plus the
+    frozenset it wraps.
+
+    Equality and hashing cover ``digest_bytes`` too, so empty sets of
+    different digest sizes differ; against a plain set or frozenset a
+    masked set compares by its digests alone.  Instances are immutable:
+    assigning an attribute raises :class:`dataclasses.FrozenInstanceError`.
     """
 
-    digests: FrozenSet[bytes]
-    digest_bytes: int = DEFAULT_DIGEST_BYTES
+    __slots__ = ("digest_bytes",)
 
-    def __post_init__(self) -> None:
-        if self.digest_bytes < 4:
+    digest_bytes: int
+
+    def __new__(
+        cls, digests: Iterable[bytes] = (), digest_bytes: int = DEFAULT_DIGEST_BYTES
+    ) -> "MaskedSet":
+        if digest_bytes < 4:
             raise ValueError("digest truncation below 4 bytes is unsafe")
-        if not set(map(len, self.digests)) <= {self.digest_bytes}:
+        self = super().__new__(cls, digests)
+        if not set(map(len, self)) <= {digest_bytes}:
             raise ValueError(
                 "all digests in a MaskedSet must have digest_bytes length"
             )
+        object.__setattr__(self, "digest_bytes", digest_bytes)
+        return self
 
-    def __len__(self) -> int:
-        return len(self.digests)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, MaskedSet) and self.digest_bytes != other.digest_bytes:
+            return False
+        return frozenset.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash((frozenset.__hash__(self), self.digest_bytes))
+
+    def __repr__(self) -> str:
+        return (
+            f"MaskedSet(digests={frozenset(self)!r}, "
+            f"digest_bytes={self.digest_bytes!r})"
+        )
+
+    def __reduce__(self) -> Tuple[type, Tuple[Tuple[bytes, ...], int]]:
+        # frozenset's own reduction would drop the slot.
+        return (type(self), (tuple(self), self.digest_bytes))
+
+    @property
+    def digests(self) -> FrozenSet[bytes]:
+        """The digests: a read-only view that is the set itself."""
+        return self
 
     def intersects(self, other: "MaskedSet") -> bool:
         """True when the two masked sets share at least one digest."""
@@ -91,11 +132,11 @@ class MaskedSet:
         # semantics as probing each digest of the smaller set, without the
         # Python-level loop this sits under (every membership test in every
         # pairwise conflict/ranking scan lands here).
-        return not self.digests.isdisjoint(other.digests)
+        return not self.isdisjoint(other)
 
     def wire_bytes(self) -> int:
         """Serialized size in bytes (cardinality x digest length)."""
-        return len(self.digests) * self.digest_bytes
+        return len(self) * self.digest_bytes
 
 
 def _encode(prefixes: Tuple[Prefix, ...], domain: bytes) -> Tuple[bytes, ...]:
@@ -122,7 +163,7 @@ def _cover_table(
     return prefixes, _encode(prefixes, domain)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaskSpec:
     """One prefix set awaiting masking: the unit of the batch API.
 
@@ -243,7 +284,7 @@ def mask_specs(specs: Sequence[MaskSpec]) -> List[MaskedSet]:
     """
     out = []
     for spec, digests in zip(specs, mask_spec_digests(specs)):
-        masked = MaskedSet(frozenset(digests), digest_bytes=spec.digest_bytes)
+        masked = MaskedSet(digests, spec.digest_bytes)
         obs.count("prefix.masked_sets")
         obs.count("prefix.masked_digests", len(masked))
         out.append(masked)
@@ -291,7 +332,7 @@ def pad_masked_set(
         missing = ceiling - len(digests)
     obs.count("prefix.masked_sets")
     obs.count("prefix.masked_digests", len(digests))
-    return MaskedSet(frozenset(digests), digest_bytes=digest_bytes)
+    return MaskedSet(digests, digest_bytes)
 
 
 def mask_prefixes(
@@ -350,16 +391,17 @@ def mask_range(
     spec = MaskSpec.cover(
         key, low, high, width, domain=domain, digest_bytes=digest_bytes
     )
-    digests = set(mask_spec_digests([spec])[0])
+    digests = mask_spec_digests([spec])[0]
     if pad_to is None:
+        masked = MaskedSet(digests, digest_bytes)
         obs.count("prefix.masked_sets")
-        obs.count("prefix.masked_digests", len(digests))
-        return MaskedSet(frozenset(digests), digest_bytes=digest_bytes)
+        obs.count("prefix.masked_digests", len(masked))
+        return masked
     ceiling = max(pad_to, max_cover_size(width))
     if rng is None:
         rng = fresh_rng()
     return pad_masked_set(
-        digests, ceiling=ceiling, digest_bytes=digest_bytes, rng=rng
+        set(digests), ceiling=ceiling, digest_bytes=digest_bytes, rng=rng
     )
 
 

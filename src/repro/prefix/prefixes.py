@@ -20,7 +20,7 @@ from typing import Iterator, List, Tuple
 __all__ = ["Prefix", "prefix_family", "bit_width_for"]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Prefix:
     """An ``s``-prefix of ``w``-bit numbers: ``s`` fixed bits then wildcards.
 

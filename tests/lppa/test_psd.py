@@ -60,6 +60,20 @@ def test_bid_ge_is_the_masked_order_oracle():
             assert table.bid_ge(i, j, 0) == (values[i][0] >= values[j][0])
 
 
+def test_bid_ge_memo_keeps_channels_and_pairs_apart():
+    """Each (channel, i, j) has its own memo slot, and an index outside the
+    table is refused rather than read from another slot."""
+    table, values = _world([[5, 30, 0], [17, 2, 9], [0, 9, 30]])
+    for _ in range(2):  # second pass is answered from the memo
+        for channel, i, j in itertools.product(range(3), repeat=3):
+            assert table.bid_ge(i, j, channel) == (
+                values[i][channel] >= values[j][channel]
+            )
+    for i, j, channel in [(3, 0, 0), (0, 3, 0), (-1, 0, 0), (0, 0, 3), (0, 0, -1)]:
+        with pytest.raises(IndexError):
+            table.bid_ge(i, j, channel)
+
+
 def test_empty_column_raises():
     table, _ = _world([[5, 0, 0]])
     table.remove_row(0)

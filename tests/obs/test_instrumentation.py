@@ -1,5 +1,6 @@
 """Instrumentation wiring: the protocol and engine record what they should."""
 
+import gc
 import random
 
 import pytest
@@ -131,3 +132,23 @@ def test_calibration_counters_are_deterministic():
 def test_calibration_rejects_bad_repeats():
     with pytest.raises(ValueError):
         run_calibration(MetricsRegistry(), repeats=0)
+
+
+def test_collections_are_timed_while_collecting():
+    assert obs._record_collection not in gc.callbacks
+    with obs.collecting() as registry:
+        assert gc.callbacks.count(obs._record_collection) == 1
+        with obs.collecting() as inner:
+            # A nested block reuses the hook and records into its own registry.
+            assert gc.callbacks.count(obs._record_collection) == 1
+            gc.collect()
+        with obs.phase("sweep"):
+            gc.collect()
+    assert obs._record_collection not in gc.callbacks
+    assert inner.timers["gc.gen2"].count == 1
+    timers = registry.timers
+    assert "gc.gen2" not in timers
+    assert timers["sweep/gc.gen2"].count == 1
+    assert timers["sweep/gc.gen2"].seconds > 0.0
+    gc.collect()  # nothing is collecting: nothing more is recorded
+    assert registry.timers["sweep/gc.gen2"].count == 1

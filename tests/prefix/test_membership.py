@@ -1,11 +1,15 @@
 """HMAC-masked membership verification and max-finding."""
 
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.lppa.codec import decode_masked_set, encode_masked_set
 from repro.prefix.membership import (
     MaskedSet,
     find_maxima,
@@ -72,6 +76,94 @@ def test_masked_set_validation():
         MaskedSet(frozenset({b"short"}), digest_bytes=16)
     with pytest.raises(ValueError):
         MaskedSet(frozenset(), digest_bytes=2)
+
+
+def test_equality_and_hash_cover_digest_bytes():
+    assert MaskedSet((), digest_bytes=8) != MaskedSet((), digest_bytes=16)
+    assert hash(MaskedSet((), digest_bytes=8)) != hash(MaskedSet((), digest_bytes=16))
+    assert len({MaskedSet((), digest_bytes=8), MaskedSet((), digest_bytes=16)}) == 2
+    digests = {bytes([i]) * 8 for i in range(3)}
+    assert MaskedSet(digests, 8) == MaskedSet(tuple(digests), digest_bytes=8)
+    assert hash(MaskedSet(digests, 8)) == hash(MaskedSet(frozenset(digests), 8))
+    assert not MaskedSet(digests, 8) != MaskedSet(digests, 8)
+
+
+def test_keyword_form_and_repr():
+    masked = MaskedSet(digests=frozenset({b"abcd"}), digest_bytes=4)
+    assert masked.digest_bytes == 4
+    assert repr(masked) == "MaskedSet(digests=frozenset({b'abcd'}), digest_bytes=4)"
+    assert len(MaskedSet()) == 0
+
+
+def test_masked_set_is_immutable():
+    masked = mask_value(KEY, 7, 4)
+    with pytest.raises(FrozenInstanceError):
+        masked.digest_bytes = 8  # type: ignore[misc]
+    with pytest.raises(FrozenInstanceError):
+        masked.extra = 1  # type: ignore[attr-defined]
+    with pytest.raises(FrozenInstanceError):
+        del masked.digest_bytes
+    assert masked.digest_bytes == 16
+    assert not hasattr(masked, "__dict__")
+
+
+@pytest.mark.parametrize("digest_bytes", [8, 16])
+def test_pickle_and_deepcopy_keep_digest_bytes(digest_bytes):
+    masked = mask_value(KEY, 9, 5, digest_bytes=digest_bytes)
+    empty = MaskedSet((), digest_bytes=digest_bytes)
+    for original in (masked, empty):
+        for clone in (
+            pickle.loads(pickle.dumps(original)),
+            copy.deepcopy(original),
+            copy.copy(original),
+        ):
+            assert type(clone) is MaskedSet
+            assert clone == original
+            assert clone.digest_bytes == digest_bytes
+
+
+def test_digests_view_iterates_the_same_digests():
+    masked = mask_range(KEY, 3, 12, 5, pad_to=8, rng=random.Random(4))
+    assert sorted(masked.digests) == sorted(masked)
+    assert masked.digests == frozenset(masked)
+    assert len(masked.digests) == len(masked) == 8
+
+
+_digest_sets = st.frozensets(st.binary(min_size=6, max_size=6), max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_digest_sets, _digest_sets)
+def test_set_semantics_agree_with_frozenset(a, b):
+    ma, mb = MaskedSet(a, digest_bytes=6), MaskedSet(b, digest_bytes=6)
+    assert ma.intersects(mb) == bool(a & b)
+    assert is_member(ma, mb) == (not a.isdisjoint(b))
+    assert (ma & mb) == (a & b)
+    assert (ma | mb) == (a | b)
+    assert (ma - mb) == (a - b)
+    assert (ma == mb) == (a == b)
+    assert (ma <= mb) == (a <= b)
+    assert len(ma) == len(a)
+    assert ma.wire_bytes() == 6 * len(a)
+    assert set(ma) == set(a)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=20).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.frozensets(st.binary(min_size=n, max_size=n), max_size=10)
+        )
+    )
+)
+def test_codec_round_trip_is_equal(case):
+    digest_bytes, digests = case
+    masked = MaskedSet(digests, digest_bytes=digest_bytes)
+    decoded, end = decode_masked_set(encode_masked_set(masked))
+    assert decoded == masked
+    assert type(decoded) is MaskedSet
+    assert decoded.digest_bytes == digest_bytes
+    assert end == 3 + masked.wire_bytes()
 
 
 def test_wire_bytes():
