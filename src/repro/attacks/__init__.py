@@ -15,7 +15,6 @@ from repro.attacks.against_lppa import (
     lppa_bcm_attack,
     top_fraction_bidders,
 )
-from repro.attacks.bayes import bpm_posterior, score_posterior
 from repro.attacks.bcm import bcm_attack, bcm_attack_channels
 from repro.attacks.colocation import anchor_boxes, colocation_attack
 from repro.attacks.bpm import bpm_attack, bpm_distance_field
@@ -32,8 +31,6 @@ __all__ = [
     "infer_available_sets",
     "lppa_bcm_attack",
     "top_fraction_bidders",
-    "bpm_posterior",
-    "score_posterior",
     "bcm_attack",
     "bcm_attack_channels",
     "anchor_boxes",

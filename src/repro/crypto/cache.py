@@ -1,10 +1,23 @@
-"""Masked-prefix digest cache: stop re-masking identical sets every round.
+"""Masked-prefix set cache: mask each prefix set once per key epoch.
 
 A stationary SU submits the *same* location prefix family and interference
-cover round after round, and the TTP re-derives the same masked bid family
-at charging time that the bidder already computed at submission time.  Both
-are deterministic functions of ``(HMAC key, domain, digest size, prefix
-set)`` — so the masking layer keeps a bounded LRU of exactly that mapping.
+cover round after round, equal bids on one channel mask to the same family,
+and the TTP re-derives at charging time the masked bid family the bidder
+already computed at submission time.  Each masked set is a deterministic
+function of ``(HMAC key, domain, digest size, prefix set)`` — so the
+masking layer keeps a bounded LRU of exactly that mapping, and the value it
+stores is the sealed, immutable :class:`~repro.prefix.membership.MaskedSet`
+itself.  A hit hands out that same object: every SU (and the TTP) that
+masks the same set under the same key shares one set, and a warm round
+builds no new set for a recalled one.  Padded tails are never cached — the
+masking layer copies the shared cover and draws each SU's fillers fresh.
+
+The price is memory per entry: a 12-digest set is a frozenset of about
+0.7 KB where a digest tuple was about 0.14 KB (the digest bytes themselves
+are shared either way), bounded by ``_DEFAULT_MAX_ENTRIES`` entries.  An
+in-process round's own sets stop being separate copies, so it holds less
+overall; where the auctioneer decodes fresh sets from the wire, the larger
+entries are a net cost.
 
 Correctness is structural: the cache key *contains the key material*, so a
 rotated key can never alias a stale entry — a new key ring simply misses.
@@ -14,30 +27,42 @@ which drops stale entries whenever the fingerprint changes; dead epochs
 are evicted eagerly instead of lingering until LRU pressure.  The TTP
 passes the new ring's live key set, so a *partial* rotation — the epoch
 service rotates only ``gc`` on membership change — drops only entries
-masked under retired keys and a stationary SU's digests stay warm.
+masked under retired keys and a stationary SU's sets stay warm.
 
 Observability: every lookup lands on ``crypto.mask_cache.hits`` or
 ``crypto.mask_cache.misses``; clears count ``crypto.mask_cache.invalidations``
 and LRU pressure counts ``crypto.mask_cache.evictions``; live occupancy is
 exported as the ``crypto.mask_cache.size`` gauge.  The fault-test
-suite uses these counters to prove no stale digest is ever served across
+suite uses these counters to prove no stale set is ever served across
 key rotation, SU churn and prefix-set mutation.
 
 The cache is always on (results are bit-identical either way — only the
-HMAC work is skipped); :func:`cache_disabled` bypasses it temporarily so a
-measurement (the calibration loop, the benchmark's cold-cache oracles)
-does fixed work.  Like :mod:`repro.obs`, it is single-threaded by design;
-forked sweep workers inherit a snapshot, which is harmless because
-entries are pure functions of their keys.
+HMAC work and the set building are skipped); :func:`cache_disabled`
+bypasses it temporarily so a measurement (the calibration loop, the
+benchmark's cold-cache oracles) does fixed work.  Like :mod:`repro.obs`,
+it is single-threaded by design; forked sweep workers inherit a snapshot,
+which is harmless because entries are immutable pure functions of their
+keys.
 """
 
 from __future__ import annotations
 
 import contextlib
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    Optional,
+    Tuple,
+    TypeAlias,
+)
 
 from repro import obs
+
+if TYPE_CHECKING:
+    from repro.prefix.membership import MaskedSet
 
 __all__ = [
     "MaskCache",
@@ -48,8 +73,9 @@ __all__ = [
     "note_key_epoch",
 ]
 
-#: Digests of one masked prefix set, in the set's prefix order.
-CachedDigests = Tuple[bytes, ...]
+#: One masked prefix set, sealed: the shared :class:`MaskedSet` a hit hands
+#: out.  Immutable, so every holder may keep it; never a padded tail.
+CachedDigests: TypeAlias = "MaskedSet"
 
 #: Lookup key: (HMAC key, domain, digest_bytes, numericalized message tuple).
 CacheKey = Tuple[bytes, bytes, int, Tuple[bytes, ...]]
@@ -58,11 +84,12 @@ _DEFAULT_MAX_ENTRIES = 65536
 
 
 class MaskCache:
-    """Bounded LRU of masked-prefix digest tuples.
+    """Bounded LRU of sealed masked-prefix sets.
 
-    Entries map a :data:`CacheKey` to the truncated digests of the set, in
-    input order — order matters so batch lookups reproduce the exact bytes
-    a cold mask would produce.
+    Entries map a :data:`CacheKey` to the :class:`MaskedSet` of that prefix
+    set.  The set is built once from the digests in prefix order, so a
+    recalled set equals — element, iteration order and all — the set a
+    cold mask would build.
     """
 
     __slots__ = ("_entries", "_max_entries", "_epoch", "hits", "misses", "evictions")
@@ -101,18 +128,24 @@ class MaskCache:
         obs.count("crypto.mask_cache.hits")
         return entry
 
-    def put(self, key: CacheKey, digests: CachedDigests) -> None:
-        """Store one set's digests, evicting the LRU entry on overflow."""
+    def put(self, key: CacheKey, masked: CachedDigests) -> CachedDigests:
+        """Store one sealed set, evicting the LRU entry on overflow.
+
+        Returns the entry now held for ``key``: ``masked``, or the set
+        already stored, so duplicates within one batch share it too.
+        """
         entries = self._entries
-        if key in entries:
+        held = entries.get(key)
+        if held is not None:
             entries.move_to_end(key)
-            return
-        entries[key] = digests
+            return held
+        entries[key] = masked
         if len(entries) > self._max_entries:
             entries.popitem(last=False)
             self.evictions += 1
             obs.count("crypto.mask_cache.evictions")
         obs.set_gauge("crypto.mask_cache.size", float(len(entries)))
+        return masked
 
     def clear(self) -> int:
         """Drop every entry; returns how many were dropped."""
@@ -129,7 +162,7 @@ class MaskCache:
         The selective counterpart of :meth:`clear` for *partial* key
         rotations: a membership change rotates only the affected subkeys
         (the epoch service rotates ``gc`` on join/leave), so a stationary
-        SU's masked digests — keyed by the unchanged ``g0``/``gb_*``
+        SU's masked sets — keyed by the unchanged ``g0``/``gb_*``
         material — survive unrelated churn.  Counts one
         ``crypto.mask_cache.invalidations`` event when anything dropped.
         """

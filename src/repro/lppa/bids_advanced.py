@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro import obs
+from repro.crypto.cache import CacheKey
 from repro.crypto.keys import KeyRing
 from repro.lppa.bids_basic import draw_bid_nonce, encrypt_bid_values
 from repro.lppa.messages import BidSubmission, MaskedBid
@@ -35,7 +35,9 @@ from repro.lppa.policies import KeepZeroPolicy, ZeroDisguisePolicy
 from repro.prefix.membership import (
     DEFAULT_DIGEST_BYTES,
     MaskedSet,
-    MaskSpec,
+    count_masked_sets,
+    cover_cache_key,
+    family_cache_key,
     mask_spec_digests,
     pad_masked_set,
 )
@@ -217,28 +219,27 @@ def submit_bids_advanced(
     # covers go through one backend batch up front; the per-channel loop
     # below then draws pad fillers and ciphertext nonces in exactly the
     # order the digest-at-a-time implementation did, and every channel's
-    # value is sealed afterwards in one lane-batched Speck call.
-    specs: List[MaskSpec] = []
+    # value is sealed afterwards in one lane-batched Speck call.  Families
+    # and covers are the shared sets of the mask cache; each tail pads a
+    # copy of its cover with this SU's own fillers.
+    keys: List[CacheKey] = []
     for channel, disclosure in enumerate(disclosures):
         key = keyring.channel_key(channel)
         value = disclosure.masked_expanded
-        specs.append(MaskSpec.family(key, value, width, domain=_BID_DOMAIN))
-        specs.append(
-            MaskSpec.cover(key, value, scale.emax, width, domain=_BID_DOMAIN)
+        keys.append(family_cache_key(key, value, width, domain=_BID_DOMAIN))
+        keys.append(
+            cover_cache_key(key, value, scale.emax, width, domain=_BID_DOMAIN)
         )
-    digests = mask_spec_digests(specs)
+    masked = mask_spec_digests(keys)
+    families = masked[0::2]
+    count_masked_sets(families)
 
-    families: List[MaskedSet] = []
     tails: List[MaskedSet] = []
     nonces: List[bytes] = []
-    for channel, disclosure in enumerate(disclosures):
-        family = MaskedSet(digests[2 * channel], DEFAULT_DIGEST_BYTES)
-        obs.count("prefix.masked_sets")
-        obs.count("prefix.masked_digests", len(family))
-        families.append(family)
+    for cover, disclosure in zip(masked[1::2], disclosures):
         tails.append(
             pad_masked_set(
-                set(digests[2 * channel + 1]),
+                set(cover),
                 ceiling=ceiling,
                 digest_bytes=DEFAULT_DIGEST_BYTES,
                 rng=rng,
