@@ -1,9 +1,9 @@
 """One-draw padding and the memoized family/cover HMAC inputs.
 
 Both are pure speed-ups: padding must consume the caller's RNG exactly as
-a filler-at-a-time ``while`` loop does, and a memoized spec must carry the
-same HMAC inputs (and so hit the same cache entries) as one built from its
-prefixes.
+a filler-at-a-time ``while`` loop does, and a memoized cache key must carry
+the same HMAC inputs (and so hit the same cache entries) as a spec built
+from its prefixes.
 """
 
 import random
@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.cache import MaskCache, set_mask_cache
-from repro.prefix.membership import MaskSpec, mask_specs, pad_masked_set
+from repro.prefix.membership import (
+    MaskSpec,
+    cover_cache_key,
+    family_cache_key,
+    mask_keys,
+    mask_specs,
+    pad_masked_set,
+)
 from repro.prefix.prefixes import prefix_family
 from repro.prefix.ranges import range_cover
 
@@ -95,22 +102,20 @@ def test_full_set_draws_nothing():
     assert padded.digests == digests
 
 
-def _assert_same_spec(memoized, built):
-    assert memoized == built
-    assert memoized.prefixes == built.prefixes
-    assert memoized.messages() == built.messages()
+def _assert_same_key(memoized, built):
+    assert memoized == built.cache_key()
 
 
 def test_memoized_bid_specs_equal_built_ones_over_the_whole_domain():
     """Every family and tail cover of the 11-bit expanded bid domain."""
     width, emax = 11, 1055
     for x in range(emax + 1):
-        _assert_same_spec(
-            MaskSpec.family(KEY, x, width, domain=BID_DOMAIN),
+        _assert_same_key(
+            family_cache_key(KEY, x, width, domain=BID_DOMAIN),
             MaskSpec.of(KEY, prefix_family(x, width), domain=BID_DOMAIN),
         )
-        _assert_same_spec(
-            MaskSpec.cover(KEY, x, emax, width, domain=BID_DOMAIN),
+        _assert_same_key(
+            cover_cache_key(KEY, x, emax, width, domain=BID_DOMAIN),
             MaskSpec.of(KEY, range_cover(x, emax, width), domain=BID_DOMAIN),
         )
 
@@ -121,24 +126,24 @@ def test_memoized_location_specs_equal_built_ones(width):
     top = (1 << width) - 1
     for domain in LOCATION_DOMAINS:
         for low in range(top + 1):
-            _assert_same_spec(
-                MaskSpec.family(KEY, low, width, domain=domain, digest_bytes=8),
+            _assert_same_key(
+                family_cache_key(KEY, low, width, domain=domain, digest_bytes=8),
                 MaskSpec.of(
                     KEY, prefix_family(low, width), domain=domain, digest_bytes=8
                 ),
             )
             for high in range(low, top + 1):
-                _assert_same_spec(
-                    MaskSpec.cover(KEY, low, high, width, domain=domain),
+                _assert_same_key(
+                    cover_cache_key(KEY, low, high, width, domain=domain),
                     MaskSpec.of(KEY, range_cover(low, high, width), domain=domain),
                 )
 
 
 def test_memoized_specs_validate_like_built_ones():
     with pytest.raises(ValueError):
-        MaskSpec.family(KEY, 16, 4)
+        family_cache_key(KEY, 16, 4)
     with pytest.raises(ValueError):
-        MaskSpec.cover(KEY, 5, 4, 4)
+        cover_cache_key(KEY, 5, 4, 4)
 
 
 def test_entry_cached_through_of_is_hit_by_memoized_specs():
@@ -152,13 +157,13 @@ def test_entry_cached_through_of_is_hit_by_memoized_specs():
             ]
         )
         assert (cache.hits, cache.misses) == (0, 2)
-        memoized = mask_specs(
+        memoized = mask_keys(
             [
-                MaskSpec.family(KEY, 300, 11, domain=BID_DOMAIN),
-                MaskSpec.cover(KEY, 300, 1055, 11, domain=BID_DOMAIN),
+                family_cache_key(KEY, 300, 11, domain=BID_DOMAIN),
+                cover_cache_key(KEY, 300, 1055, 11, domain=BID_DOMAIN),
             ]
         )
         assert (cache.hits, cache.misses) == (2, 2)
-        assert memoized == built
+        assert all(m is b for m, b in zip(memoized, built))
     finally:
         set_mask_cache(previous)
